@@ -42,6 +42,10 @@ def derive_seed(base_seed: int, stream: str) -> int:
     return int.from_bytes(raw[:8], "big")
 
 
+_INT_FIELDS = ("n_peers", "t_max", "seed", "realizations")
+_FLOAT_FIELDS = ("s", "p_update", "p_add", "p_file", "p_leave")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Control parameters for one simulated population.
@@ -65,6 +69,20 @@ class SimConfig:
     literal_traversal: bool = False
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.literal_traversal, bool):
+            raise TypeError(
+                f"literal_traversal must be a bool, got {self.literal_traversal!r}"
+            )
         if self.n_peers < 1:
             raise ValueError("n_peers must be >= 1")
         if self.s <= 0:
@@ -133,16 +151,15 @@ class Simulation:
         self.config = config
         self.realization = realization
         self.rng = random.Random(derive_seed(config.seed, f"realization-{realization}"))
-        self.namespace = Namespace(
-            random.Random(derive_seed(config.seed, f"realization-{realization}/namespace"))
-        )
         self.store = DirectoryStore()
         # a version holds a majority once strictly more than half the peers view it
         self.peers = PeerPopulation(
             config.n_peers,
             self.store,
-            self.namespace,
             majority_count=config.n_peers // 2 + 1,
+            namespace_rng=random.Random(
+                derive_seed(config.seed, f"realization-{realization}/namespace")
+            ),
         )
         init_control_tree(self.store)
         for node in (1, 2, 3, 4):
@@ -153,6 +170,11 @@ class Simulation:
     @property
     def index(self):
         return self.peers.index
+
+    @property
+    def namespace(self) -> Namespace:
+        """The namespace as the peers' current preferences register it."""
+        return self.peers.namespace
 
     def step(self) -> TraversalRecord:
         """Advance time by one traversal of a uniformly chosen peer, who is
@@ -174,67 +196,52 @@ class Simulation:
         position, the occupied root version included, and the degree sum
         counts those same versions, so deviated-from versions never
         contribute.
+
+        With `literal_traversal` the walk follows the pseudocode instead:
+        degrees are counted for the versions as first viewed (before any
+        deviation) and the root never enters the path, so a walk that falls
+        straight onto a file or a childless root updates nothing.  It draws
+        the same RNG calls in the same order; it is kept for sensitivity
+        checks.
         """
-        if self.config.literal_traversal:
-            return self._traverse_literal(peer)
         cfg = self.config
         rng = self.rng
         peers = self.peers
         random_draw = rng.random
         randrange = rng.randrange
+        select = peers.select
+        literal = cfg.literal_traversal
+        if literal:
+            viewed_degree = 0
 
-        current = peers.viewing(1, peer, rng)
+            def viewing(node, peer, rng):  # counts degrees as first viewed
+                nonlocal viewed_degree
+                version = peers.viewing(node, peer, rng)
+                viewed_degree += len(version.children)
+                return version
+
+        else:
+            viewing = peers.viewing
+        current = viewing(1, peer, rng)
         if random_draw() >= current.quality:
-            current = peers.select(1, peer, rng)
+            current = select(1, peer, rng)
         path = [current]
         degree = len(current.children)
         while current.is_dir and current.children:
             children = current.children
             child = children[randrange(len(children))] if len(children) > 1 else children[0]
-            current = peers.viewing(child, peer, rng)
+            current = viewing(child, peer, rng)
             if random_draw() >= current.quality:  # the quality test also applies to files
-                current = peers.select(child, peer, rng)
+                current = select(child, peer, rng)
             if current.is_dir:
                 path.append(current)
                 degree += len(current.children)
 
-        mean_degree = degree / len(path)
-        target = path[choose_update_index(mean_degree, len(path), random_draw())]
-        updated = None
-        if random_draw() < cfg.p_update:
-            self.apply_update(target, peer)
-            updated = target.node
-        return TraversalRecord(peer, path, degree, mean_degree, updated)
-
-    def _traverse_literal(self, peer: int) -> TraversalRecord:
-        """Pseudocode-faithful walk variant: degrees are counted for the
-        versions as first viewed (before any deviation) and the root is
-        never entered into the path.  Kept for sensitivity checks."""
-        cfg = self.config
-        rng = self.rng
-        peers = self.peers
-        random_draw = rng.random
-        randrange = rng.randrange
-
-        current = peers.viewing(1, peer, rng)
-        degree = len(current.children)
-        if random_draw() >= current.quality:
-            current = peers.select(1, peer, rng)
-        path = []
-        while current.is_dir and current.children:
-            children = current.children
-            child = children[randrange(len(children))] if len(children) > 1 else children[0]
-            current = peers.viewing(child, peer, rng)
-            degree += len(current.children)
-            if random_draw() >= current.quality:
-                current = peers.select(child, peer, rng)
-            if current.is_dir:
-                path.append(current)
-
-        if not path:
-            # the walk fell straight onto a file or a childless root; nothing
-            # is eligible for an update in this variant
-            return TraversalRecord(peer, [], degree, 0.0, None)
+        if literal:
+            del path[0]
+            degree = viewed_degree
+            if not path:
+                return TraversalRecord(peer, [], degree, 0.0, None)
         mean_degree = degree / len(path)
         target = path[choose_update_index(mean_degree, len(path), random_draw())]
         updated = None

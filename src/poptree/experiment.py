@@ -3,7 +3,7 @@ sweeps, deterministic multi-realization runs, and output writing."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .engine import SimConfig, run
@@ -89,8 +89,28 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     }
 
 
+_SPEC_KEYS = ("config", "sweep", "out_dir", "snapshot_interval", "emit_dot")
+_CONFIG_KEYS = tuple(f.name for f in fields(SimConfig))
+
+
+def _reject_unknown_keys(what: str, data, known: tuple[str, ...]) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+            f"choose from {', '.join(known)}"
+        )
+
+
 def spec_from_dict(data: dict) -> ExperimentSpec:
-    base = SimConfig(**data.get("config", {}))
+    """Inverse of spec_to_dict.  Missing keys take their defaults; an
+    unknown key is a ValueError that names it."""
+    _reject_unknown_keys("experiment", data, _SPEC_KEYS)
+    config = data.get("config", {})
+    _reject_unknown_keys("config", config, _CONFIG_KEYS)
+    base = SimConfig(**config)
     sweep_data = data.get("sweep")
     sweep = None
     if sweep_data is not None:

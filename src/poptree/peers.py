@@ -1,10 +1,12 @@
 """Peer population state: viewing preferences, viewer counts, churn.
 
 A peer's viewing preference for a node doubles as its registration in
-the namespace, so the DHT's view of "who is viewing what" stays in
-lockstep with the popularity counts the simulation reads.  The
-population size is fixed; a churned peer keeps its slot but restarts
-with a blank slate, as if replaced by a newcomer.
+the namespace.  Only the preferences and the viewer counts derived from
+them are stored; the namespace's view of "who is viewing what" is built
+from the preferences when asked for, so it always agrees with the
+popularity counts the simulation reads.  The population size is fixed; a
+churned peer keeps its slot but restarts with a blank slate, as if
+replaced by a newcomer.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .directory import DirectoryStore, NodeVersion, pick_popular
-from .namespace import Key, Namespace, ValueRecord, digest, node_name
+from .namespace import Namespace, ValueRecord, digest, node_name
 
 _EMPTY: dict[int, int] = {}
 
@@ -97,19 +99,35 @@ class PeerPopulation:
         self,
         n_peers: int,
         store: DirectoryStore,
-        namespace: Namespace,
         majority_count: int | None = None,
+        namespace_rng: random.Random | None = None,
     ):
         if n_peers < 1:
             raise ValueError("population needs at least one peer")
         self.n_peers = n_peers
         self.store = store
-        self.namespace = namespace
         self.index = PopularityIndex(majority_count)
         self._prefs: list[dict[int, int]] = [{} for _ in range(n_peers)]
         self._generation = [0] * n_peers
-        self._node_keys: dict[int, Key] = {}
-        self._records: dict[tuple[int, int], ValueRecord] = {}
+        self._namespace_rng = namespace_rng
+
+    @property
+    def namespace(self) -> Namespace:
+        """The namespace as the current preferences register it: one record
+        per (node, version) viewed, stored under the node's key by every
+        peer viewing it, peers in id order.
+
+        The view is built on each access and is not updated afterwards.
+        Its limited `get`/`resolve` calls sample with `namespace_rng`, or
+        with an unseeded RNG when none was given.
+        """
+        view = Namespace(self._namespace_rng)
+        for peer, prefs in enumerate(self._prefs):
+            for node, version in prefs.items():
+                name = node_name(node)
+                record = ValueRecord(f"{name} v{version}", digest(f"{name}/v{version}"))
+                view.put(peer, view.key_for(name), record)
+        return view
 
     def preference(self, peer: int, node: int) -> int | None:
         return self._prefs[peer].get(node)
@@ -122,8 +140,7 @@ class PeerPopulation:
         return self._generation[peer]
 
     def set_preference(self, peer: int, node: int, version: int) -> None:
-        """Point `peer` at (node, version), moving its viewer count and
-        re-registering it in the namespace."""
+        """Point `peer` at (node, version), moving its viewer count."""
         prefs = self._prefs[peer]
         old = prefs.get(node)
         if old == version:
@@ -133,16 +150,6 @@ class PeerPopulation:
         index.increment(node, version)
         if old is not None:
             index.decrement(node, old)
-        key = self._node_keys.get(node)
-        if key is None:
-            key = self.namespace.key_for(node_name(node))
-            self._node_keys[node] = key
-        record = self._records.get((node, version))
-        if record is None:
-            name = node_name(node)
-            record = ValueRecord(f"{name} v{version}", digest(f"{name}/v{version}"))
-            self._records[(node, version)] = record
-        self.namespace.put(peer, key, record)
 
     def viewing(self, node: int, peer: int, rng: random.Random) -> NodeVersion:
         """The version of `node` that `peer` views.
@@ -182,15 +189,14 @@ class PeerPopulation:
         return versions[j - 1]
 
     def churn_reset(self, peer: int) -> None:
-        """Replace `peer` with a fresh one: every preference is dropped,
-        each affected viewer count decremented, and all the peer's
-        namespace registrations removed."""
+        """Replace `peer` with a fresh one: every preference (and so every
+        namespace registration) is dropped and each affected viewer count
+        decremented."""
         prefs = self._prefs[peer]
         index = self.index
         for node, version in prefs.items():
             index.decrement(node, version)
         prefs.clear()
-        self.namespace.remove_peer(peer)
         self._generation[peer] += 1
 
     def lambda_max(self, node: int) -> int:

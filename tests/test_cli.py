@@ -87,6 +87,17 @@ def test_broken_config_file_is_a_usage_error(tmp_path):
         parse_config(["--config", str(bad)])
 
 
+@pytest.mark.parametrize(
+    "config", [{"config": {"n_peer": 10}}, {"config": {"s": float("nan")}}]
+)
+def test_invalid_config_file_is_a_usage_error(tmp_path, capsys, config):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    with pytest.raises(SystemExit):
+        parse_config(["--config", str(bad)])
+    assert next(iter(config["config"])) in capsys.readouterr().err
+
+
 def test_literal_pseudocode_flag():
     spec = parse_config(["--literal-pseudocode"])
     assert spec.base.literal_traversal

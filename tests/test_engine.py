@@ -128,6 +128,47 @@ def test_config_validation(kwargs):
         SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_peers": 10.5},
+        {"n_peers": True},
+        {"t_max": True},
+        {"t_max": 2e4},
+        {"realizations": 2.0},
+        {"seed": 1.5},
+        {"seed": None},
+        {"s": "1"},
+        {"p_update": False},
+        {"literal_traversal": 1},
+    ],
+)
+def test_config_rejects_wrong_types(kwargs):
+    (name,) = kwargs
+    with pytest.raises(TypeError, match=name):
+        SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"s": math.nan},
+        {"s": math.inf},
+        {"p_update": math.nan},
+        {"p_add": -math.inf},
+        {"p_leave": math.nan},
+    ],
+)
+def test_config_rejects_non_finite_floats(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SimConfig(**kwargs)
+
+
+def test_config_accepts_ints_for_float_fields():
+    assert SimConfig(s=2, p_leave=0).s == 2
+
+
 def test_derive_seed_is_stable_and_stream_dependent():
     assert derive_seed(42, "realization-0") == derive_seed(42, "realization-0")
     assert derive_seed(42, "realization-0") != derive_seed(42, "realization-1")
@@ -426,6 +467,17 @@ def test_namespace_resolution_tracks_viewer_counts():
             for j, count in sim.index.counts_for(node).items()
         }
         assert resolved == expected
+
+
+def test_limited_resolution_is_a_function_of_the_config():
+    def sampled(seed):
+        sim = Simulation(SimConfig(n_peers=50, seed=seed))
+        for _ in range(500):
+            sim.step()
+        namespace = sim.namespace
+        return [namespace.resolve(f"node-{node}", limit=5) for node in (1, 2, 3, 4)]
+
+    assert sampled(3) == sampled(3)
 
 
 def test_metrics_do_not_perturb_the_trajectory():

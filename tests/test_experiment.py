@@ -50,6 +50,29 @@ def test_spec_round_trips_through_dict():
     assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"config": {"n_peers": 10, "n_peer": 5}}, "'n_peer'"),
+        ({"config": {}, "snapshot_intervall": 5}, "'snapshot_intervall'"),
+    ],
+)
+def test_spec_from_dict_names_unknown_keys(data, key):
+    with pytest.raises(ValueError, match=key):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [[], {"config": [1, 2]}])
+def test_spec_from_dict_rejects_non_objects(data):
+    with pytest.raises(ValueError, match="JSON object"):
+        spec_from_dict(data)
+
+
+def test_spec_from_dict_rejects_float_counts():
+    with pytest.raises(TypeError, match="n_peers"):
+        spec_from_dict({"config": {"n_peers": 10.5}})
+
+
 def test_configs_of_a_sweep():
     spec = ExperimentSpec(base=FAST, sweep=("p_update", (0.1, 0.2, 0.5, 0.9)))
     configs = spec.configs()

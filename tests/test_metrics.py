@@ -16,7 +16,6 @@ from poptree.metrics import (
     viewers_by_quality,
     viewers_histogram,
 )
-from poptree.namespace import Namespace
 from poptree.peers import PeerPopulation
 from support import ScriptedRandom
 
@@ -25,7 +24,7 @@ def viewed_population(n_peers=10, majority_count=None):
     """Initial control tree with peer 0 viewing every version."""
     store = DirectoryStore()
     init_control_tree(store)
-    pop = PeerPopulation(n_peers, store, Namespace(), majority_count)
+    pop = PeerPopulation(n_peers, store, majority_count)
     for node in (1, 2, 3, 4):
         pop.set_preference(0, node, 1)
     return store, pop
@@ -77,7 +76,7 @@ def test_degree_histogram_of_initial_tree():
 def test_degree_histogram_single_childless_node():
     store = DirectoryStore()
     store.add_node(True, 0.5, created_at=0)
-    pop = PeerPopulation(4, store, Namespace())
+    pop = PeerPopulation(4, store)
     pop.set_preference(0, 1, 1)
     assert degree_histogram(store, pop.index, random.Random(0)) == {0: 1}
 
@@ -88,7 +87,7 @@ def test_degree_histogram_star():
     store.add_node(True, 0.5, created_at=0, children=tuple(range(2, d + 2)))
     for _ in range(d):
         store.add_node(False, 0.5, created_at=0)
-    pop = PeerPopulation(4, store, Namespace())
+    pop = PeerPopulation(4, store)
     for node in range(1, d + 2):
         pop.set_preference(0, node, 1)
     assert degree_histogram(store, pop.index, random.Random(0)) == {d: 1, 0: d}
@@ -107,7 +106,7 @@ def test_degree_histogram_uses_most_popular_version():
     store.add_node(False, 0.5, created_at=0)
     store.add_node(False, 0.5, created_at=0)
     store.add_version(1, 0.5, (2,), created_at=1)  # degree 1
-    pop = PeerPopulation(4, store, Namespace())
+    pop = PeerPopulation(4, store)
     pop.set_preference(0, 1, 2)
     pop.set_preference(1, 1, 2)
     pop.set_preference(2, 1, 1)
@@ -168,7 +167,7 @@ def test_viewers_by_quality_mixture():
     store = DirectoryStore()
     store.add_node(True, 0.05, created_at=0)
     store.add_node(True, 0.95, created_at=0)
-    pop = PeerPopulation(6, store, Namespace())
+    pop = PeerPopulation(6, store)
     for peer in (0, 1):
         pop.set_preference(peer, 1, 1)
     for peer in (0, 1, 2, 3):

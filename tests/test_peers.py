@@ -5,7 +5,7 @@ import random
 import pytest
 
 from poptree.directory import DirectoryStore
-from poptree.namespace import Namespace, node_name
+from poptree.namespace import node_name
 from poptree.peers import PeerPopulation
 from support import ScriptedRandom
 
@@ -16,7 +16,7 @@ def build_population(n_peers=10, versions=1, majority_count=None):
     store.add_node(True, 0.5, created_at=0)
     for _ in range(versions - 1):
         store.add_version(1, 0.5, (), created_at=0)
-    pop = PeerPopulation(n_peers, store, Namespace(), majority_count)
+    pop = PeerPopulation(n_peers, store, majority_count)
     return store, pop
 
 
@@ -184,7 +184,7 @@ def test_lambda_max_reports_ties():
 def test_population_needs_at_least_one_peer():
     store = DirectoryStore()
     with pytest.raises(ValueError):
-        PeerPopulation(0, store, Namespace())
+        PeerPopulation(0, store)
 
 
 # --- randomized operation sequences ----------------------------------------
@@ -228,7 +228,7 @@ def test_index_stays_consistent_through_random_operations():
     rng = random.Random(20240518)
     store = DirectoryStore()
     store.add_node(True, 0.5, created_at=0)
-    pop = PeerPopulation(8, store, Namespace())
+    pop = PeerPopulation(8, store)
     for step in range(4000):
         roll = rng.random()
         node = rng.randrange(store.node_count) + 1
@@ -246,3 +246,40 @@ def test_index_stays_consistent_through_random_operations():
         if step % 400 == 0:
             assert_consistent(pop, store)
     assert_consistent(pop, store)
+
+
+def test_namespace_view_equals_recounted_preferences_after_set_and_churn():
+    rng = random.Random(97)
+    store = DirectoryStore()
+    for _ in range(6):
+        store.add_node(True, 0.5, created_at=0)
+        for _ in range(3):
+            store.add_version(store.node_count, 0.5, (), created_at=0)
+    pop = PeerPopulation(12, store)
+    for step in range(3000):
+        peer = rng.randrange(12)
+        if rng.random() < 0.1:
+            pop.churn_reset(peer)
+        else:
+            pop.set_preference(peer, rng.randrange(6) + 1, rng.randrange(4) + 1)
+        if step % 300 == 0:
+            namespace = pop.namespace
+            recounted = recompute_counts(pop)
+            for node in range(1, 7):
+                resolved = {
+                    record.description: count
+                    for record, count in namespace.resolve(node_name(node))
+                }
+                assert resolved == {
+                    f"{node_name(node)} v{version}": count
+                    for version, count in recounted.get(node, {}).items()
+                }
+
+
+def test_namespace_view_is_a_snapshot():
+    _, pop = build_population()
+    pop.set_preference(0, 1, 1)
+    view = pop.namespace
+    pop.churn_reset(0)
+    assert view.resolve(node_name(1))[0][1] == 1
+    assert pop.namespace.resolve(node_name(1)) == []
