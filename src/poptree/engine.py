@@ -286,6 +286,14 @@ class Simulation:
         return fresh
 
 
+def check_snapshot_interval(snapshot_interval: int) -> None:
+    """Reject a snapshot interval that is not an int >= 1."""
+    if not isinstance(snapshot_interval, int) or isinstance(snapshot_interval, bool):
+        raise TypeError(f"snapshot_interval must be an int, got {snapshot_interval!r}")
+    if snapshot_interval < 1:
+        raise ValueError("snapshot_interval must be >= 1")
+
+
 def run_single(
     config: SimConfig, realization: int = 0, snapshot_interval: int = 1000
 ) -> _metrics.MetricsSeries:
@@ -296,8 +304,7 @@ def run_single(
     Metric extraction draws from its own RNG stream, so the trajectory is
     a function of the config alone, never of how often it is observed.
     """
-    if snapshot_interval < 1:
-        raise ValueError("snapshot_interval must be >= 1")
+    check_snapshot_interval(snapshot_interval)
     sim = Simulation(config, realization)
     metrics_rng = random.Random(
         derive_seed(config.seed, f"realization-{realization}/metrics")

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .engine import SimConfig, run
+from .engine import SimConfig, check_snapshot_interval, run
 from .metrics import AverageSnapshot, MetricsSeries
 
 SWEEPABLE_PARAMS = ("n_peers", "s", "p_update", "p_add", "p_file", "p_leave", "t_max")
@@ -26,8 +26,17 @@ def normalize_param(name: str) -> str:
 
 
 def parse_param_value(param: str, raw: str | float | int):
-    value = int(raw) if param in INT_PARAMS else float(raw)
-    return value
+    """A sweep value as its field's type.  An int parameter takes a non-bool
+    int or an integer string, a float parameter a non-bool number or a
+    numeric string; anything else is a ValueError naming both."""
+    is_int = param in INT_PARAMS
+    if not isinstance(raw, bool) and isinstance(raw, (int, str) if is_int else (int, float, str)):
+        try:
+            return int(raw) if is_int else float(raw)
+        except ValueError:
+            pass
+    kind = "an integer" if is_int else "a number"
+    raise ValueError(f"sweep value for {param} must be {kind}, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +51,7 @@ class ExperimentSpec:
     emit_dot: bool = False
 
     def __post_init__(self):
-        if self.snapshot_interval < 1:
-            raise ValueError("snapshot_interval must be >= 1")
+        check_snapshot_interval(self.snapshot_interval)
         if self.sweep is not None:
             param, values = self.sweep
             if not values:

@@ -25,11 +25,27 @@ class PopularityIndex:
     Zero counts are pruned, so proportional draws and max scans only touch
     versions that still have viewers.  When a majority count is set,
     versions whose count climbs to it are queued for the metrics layer.
+
+    Each node also tracks its leader, the version that alone holds the top
+    count, so that the default view needs no scan.  Two lists indexed by
+    node id hold it: `_leader`, the leading version or 0 when unknown or
+    tied, and `_bound`, an upper bound on every count of the node other
+    than the leader's (on every count while there is no leader).  A known
+    leader's own count is read from the counts.
+
+    `increment` and `decrement` keep them in O(1).  A version whose count
+    climbs above the bound becomes the leader.  A decrement of the leader
+    keeps it as long as its new count still beats the bound; a plain cached
+    maximum would be lost on almost every step, since the leader is the
+    version most often left.  When the leader is unknown, `popular` scans
+    the counts, and records a unique top if it finds one.
     """
 
     def __init__(self, majority_count: int | None = None):
         self._counts: dict[int, dict[int, int]] = {}
-        self._totals: dict[int, int] = {}
+        self._totals: list[int] = []
+        self._leader: list[int] = []
+        self._bound: list[int] = []
         self._viewed_nodes = 0
         self._majority_count = majority_count
         self._crossings: list[tuple[int, int]] = []
@@ -47,20 +63,68 @@ class PopularityIndex:
         return max(counts.values()) if counts else 0
 
     def total(self, node: int) -> int:
-        return self._totals.get(node, 0)
+        totals = self._totals
+        return totals[node] if 0 <= node < len(totals) else 0
 
     @property
     def viewed_node_count(self) -> int:
         return self._viewed_nodes
 
+    def popular(
+        self, node: int, versions: list[NodeVersion], rng: random.Random
+    ) -> NodeVersion:
+        """The version of `node` a newcomer views: the same pick, with the
+        same draws, as `pick_popular(versions, counts_for(node), rng)`.
+
+        A known leader is returned without a scan.  Otherwise the counts
+        are scanned, and a unique top becomes the leader.
+        """
+        leaders = self._leader
+        leader = leaders[node] if node < len(leaders) else 0
+        if leader:
+            return versions[leader - 1]
+        counts = self._counts.get(node)
+        if not counts:
+            return pick_popular(versions, _EMPTY, rng)
+        top = max(counts.values())
+        ties = [j for j, c in counts.items() if c == top]
+        if len(ties) > 1:
+            self._bound[node] = top
+            return versions[ties[rng.randrange(len(ties))] - 1]
+        leader = leaders[node] = ties[0]
+        self._bound[node] = max([c for c in counts.values() if c != top], default=0)
+        return versions[leader - 1]
+
+    def _grow(self, node: int) -> None:
+        extra = [0] * (node + 1 - len(self._totals))
+        self._totals.extend(extra)
+        self._leader.extend(extra)
+        self._bound.extend(extra)
+
     def increment(self, node: int, version: int) -> None:
-        counts = self._counts.setdefault(node, {})
-        c = counts.get(version, 0) + 1
-        counts[version] = c
-        total = self._totals.get(node, 0) + 1
-        self._totals[node] = total
+        totals = self._totals
+        try:
+            total = totals[node] + 1
+        except IndexError:  # a node the lists do not reach yet
+            self._grow(node)
+            total = 1
+        totals[node] = total
         if total == 1:
             self._viewed_nodes += 1
+            counts = self._counts[node] = {version: 1}
+            c = 1
+        else:
+            counts = self._counts[node]
+            c = counts.get(version, 0) + 1
+            counts[version] = c
+        leader = self._leader[node]
+        if leader != version and c > self._bound[node]:
+            if not leader:  # above every count: the unique top
+                self._leader[node] = version
+            else:
+                self._bound[node] = c
+                if c == counts[leader]:  # tied with the leader
+                    self._leader[node] = 0
         if c == self._majority_count:
             self._crossings.append((node, version))
 
@@ -77,6 +141,9 @@ class PopularityIndex:
         self._totals[node] = total
         if total == 0:
             self._viewed_nodes -= 1
+            self._leader[node] = self._bound[node] = 0
+        elif self._leader[node] == version and c <= self._bound[node]:
+            self._leader[node] = 0  # the bound now covers every count
 
     def drain_crossings(self) -> list[tuple[int, int]]:
         """Versions that reached the majority count since the last drain."""
@@ -110,6 +177,8 @@ class PeerPopulation:
         self._prefs: list[dict[int, int]] = [{} for _ in range(n_peers)]
         self._generation = [0] * n_peers
         self._namespace_rng = namespace_rng
+        # the store's per-node version lists, read directly by the walk
+        self._node_versions = store._versions
 
     @property
     def namespace(self) -> Namespace:
@@ -158,12 +227,24 @@ class PeerPopulation:
         applies: a uniform pick among the most viewed versions, which then
         becomes the peer's preference.
         """
-        versions = self.store.versions_of(node)
-        j = self._prefs[peer].get(node)
+        nodes = self._node_versions
+        if not 0 < node < len(nodes):
+            raise KeyError(f"unknown node {node}")
+        versions = nodes[node]
+        prefs = self._prefs[peer]
+        j = prefs.get(node)
         if j is not None:
             return versions[j - 1]
-        chosen = pick_popular(versions, self.index.counts_for(node), rng)
-        self.set_preference(peer, node, chosen.version)
+        index = self.index
+        leaders = index._leader
+        j = leaders[node] if node < len(leaders) else 0
+        if j:  # the known leader: what the scan would pick, without a draw
+            chosen = versions[j - 1]
+        else:
+            chosen = index.popular(node, versions, rng)
+            j = chosen.version
+        prefs[node] = j  # a fresh preference: no old count to move
+        index.increment(node, j)
         return chosen
 
     def select(self, node: int, peer: int, rng: random.Random) -> NodeVersion:
@@ -173,10 +254,14 @@ class PeerPopulation:
         With no viewers anywhere on the node the ratio is undefined, so the
         pick falls back to uniform over all versions.
         """
-        versions = self.store.versions_of(node)
-        counts = self.index.counts_for(node)
+        nodes = self._node_versions
+        if not 0 < node < len(nodes):
+            raise KeyError(f"unknown node {node}")
+        versions = nodes[node]
+        index = self.index
+        counts = index._counts.get(node)
         if counts:
-            r = rng.randrange(self.index.total(node))
+            r = rng.randrange(index._totals[node])
             for j, c in counts.items():
                 r -= c
                 if r < 0:

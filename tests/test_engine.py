@@ -452,6 +452,12 @@ def test_run_single_rejects_bad_interval():
         run_single(SimConfig(t_max=10, realizations=1), snapshot_interval=0)
 
 
+@pytest.mark.parametrize("interval", [2.5, 2.0, True, "2"])
+def test_run_single_rejects_non_int_interval(interval):
+    with pytest.raises(TypeError, match="snapshot_interval"):
+        run_single(SimConfig(t_max=10, realizations=1), snapshot_interval=interval)
+
+
 def test_namespace_resolution_tracks_viewer_counts():
     # resolve() must reflect live popularity after real dynamics, churn included
     sim = Simulation(SimConfig(n_peers=10, p_leave=0.2, seed=5))

@@ -1,6 +1,7 @@
 """Experiment specs, sweeps, averaging, and file outputs."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from poptree.engine import SimConfig
 from poptree.experiment import (
     ExperimentSpec,
     normalize_param,
+    parse_param_value,
     run_experiment,
     spec_from_dict,
     spec_to_dict,
@@ -71,6 +73,38 @@ def test_spec_from_dict_rejects_non_objects(data):
 def test_spec_from_dict_rejects_float_counts():
     with pytest.raises(TypeError, match="n_peers"):
         spec_from_dict({"config": {"n_peers": 10.5}})
+
+
+@pytest.mark.parametrize("value", [10.5, 10.0, True, "10.5", "ten", None], ids=repr)
+def test_spec_from_dict_rejects_non_integer_sweep_values_for_int_params(value):
+    data = {"config": {}, "sweep": {"param": "n_peers", "values": [10, value]}}
+    with pytest.raises(ValueError, match=f"n_peers.*{re.escape(repr(value))}"):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [False, "x", None])
+def test_parse_param_value_rejects_non_numbers_for_float_params(value):
+    with pytest.raises(ValueError, match=f"p_update.*{re.escape(repr(value))}"):
+        parse_param_value("p_update", value)
+
+
+def test_parse_param_value_reads_ints_and_command_line_strings():
+    assert parse_param_value("n_peers", 10) == 10
+    for raw in ("10", " 10"):
+        value = parse_param_value("n_peers", raw)
+        assert value == 10 and isinstance(value, int)
+    assert parse_param_value("p_update", "0.5") == 0.5
+    assert parse_param_value("p_update", 1) == 1.0
+    spec = spec_from_dict({"sweep": {"param": "n_peers", "values": ["20", 30]}})
+    assert [cfg.n_peers for _, cfg in spec.configs()] == [20, 30]
+
+
+@pytest.mark.parametrize("interval", [2.5, 2.0, True, "2"])
+def test_spec_rejects_non_int_snapshot_interval(interval):
+    with pytest.raises(TypeError, match="snapshot_interval"):
+        ExperimentSpec(base=FAST, snapshot_interval=interval)
+    with pytest.raises(TypeError, match="snapshot_interval"):
+        spec_from_dict({"snapshot_interval": interval})
 
 
 def test_configs_of_a_sweep():

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poptree.directory import DirectoryStore
+from poptree.directory import DirectoryStore, pick_popular
 from poptree.namespace import node_name
 from poptree.peers import PeerPopulation
 from support import ScriptedRandom
@@ -283,3 +285,154 @@ def test_namespace_view_is_a_snapshot():
     pop.churn_reset(0)
     assert view.resolve(node_name(1))[0][1] == 1
     assert pop.namespace.resolve(node_name(1)) == []
+
+
+# --- the leader kept by the popularity index --------------------------------
+
+
+def leader_of(pop, node):
+    """The version the index holds as the unique top of `node`, 0 if none."""
+    return pop.index._leader[node]
+
+
+def default_pick(pop, node, rng):
+    return pop.index.popular(node, pop.store.versions_of(node), rng).version
+
+
+def test_leader_decremented_into_a_tie_with_the_runner_up():
+    _, pop = build_population(versions=2)
+    seed_counts(pop, 1, {1: 3, 2: 2})  # peers 0-2 view v1, peers 3-4 view v2
+    assert leader_of(pop, 1) == 1
+    pop.churn_reset(0)
+    assert leader_of(pop, 1) == 0
+    assert default_pick(pop, 1, ScriptedRandom(randranges=[1])) == 2
+    assert default_pick(pop, 1, ScriptedRandom(randranges=[0])) == 1
+    assert leader_of(pop, 1) == 0  # still a tie after the scan
+    pop.set_preference(0, 1, 1)  # 3 : 2 again, above the bound the scan left
+    assert leader_of(pop, 1) == 1
+
+
+def test_tie_found_by_a_scan_tightens_the_bound():
+    _, pop = build_population(versions=2)
+    seed_counts(pop, 1, {1: 3, 2: 3})  # peers 0-2 view v1, peers 3-5 view v2
+    pop.churn_reset(0)
+    pop.churn_reset(3)  # 2 : 2 under a bound of 3
+    assert default_pick(pop, 1, ScriptedRandom(randranges=[0])) == 1
+    pop.set_preference(0, 1, 2)  # 2 : 3
+    assert leader_of(pop, 1) == 2
+
+
+def test_leader_decremented_but_still_ahead_is_kept():
+    _, pop = build_population(versions=3)
+    seed_counts(pop, 1, {1: 4, 2: 2, 3: 1})
+    pop.churn_reset(0)
+    assert leader_of(pop, 1) == 1
+    assert default_pick(pop, 1, ScriptedRandom()) == 1  # no draw
+
+
+def test_one_of_two_tied_tops_loses_a_viewer():
+    _, pop = build_population(versions=3)
+    seed_counts(pop, 1, {1: 2, 2: 2, 3: 1})  # peers 2-3 view v2
+    assert leader_of(pop, 1) == 0
+    pop.churn_reset(3)
+    # the bound still allows a tie, so the pick scans, finds v1 alone on
+    # top without a draw, and records it
+    assert default_pick(pop, 1, ScriptedRandom()) == 1
+    assert leader_of(pop, 1) == 1
+    assert pop.viewing(1, 9, ScriptedRandom()).version == 1
+    assert pop.index.count(1, 1) == 3
+    pop.churn_reset(9)
+    pop.churn_reset(0)  # 1 : 1 : 1, the runner-ups at the recorded bound
+    assert leader_of(pop, 1) == 0
+    assert default_pick(pop, 1, ScriptedRandom(randranges=[2])) == 3
+
+
+def test_non_leader_overtakes_the_leader():
+    _, pop = build_population(versions=2)
+    free = seed_counts(pop, 1, {1: 3, 2: 2})
+    pop.set_preference(free, 1, 2)  # 3 : 3
+    assert leader_of(pop, 1) == 0
+    pop.set_preference(free + 1, 1, 2)  # 3 : 4
+    assert leader_of(pop, 1) == 2
+    assert default_pick(pop, 1, ScriptedRandom()) == 2
+    pop.set_preference(0, 1, 2)  # a viewer moves over: 2 : 5
+    assert leader_of(pop, 1) == 2
+    assert pop.viewing(1, free + 2, ScriptedRandom()).version == 2
+
+
+def test_last_viewer_leaves_and_the_node_is_viewed_again():
+    _, pop = build_population(versions=3)
+    seed_counts(pop, 1, {2: 2, 3: 1})  # peers 0-1 view v2, peer 2 views v3
+    assert leader_of(pop, 1) == 2
+    for peer in range(3):
+        pop.churn_reset(peer)
+    assert leader_of(pop, 1) == 0
+    assert pop.index.total(1) == 0
+    # no viewers: every version ties at zero and the pick is uniform
+    assert pop.viewing(1, 1, ScriptedRandom(randranges=[2])).version == 3
+    assert leader_of(pop, 1) == 3
+    assert pop.viewing(1, 2, ScriptedRandom()).version == 3
+    assert pop.index.count(1, 3) == 2
+
+
+# the bookkeeping is per node; one node with few peers and versions makes
+# ties, overtakes and emptied nodes frequent
+N_PEERS, N_NODES, N_VERSIONS = 4, 1, 3
+operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("set"),
+            st.integers(0, N_PEERS - 1),
+            st.integers(1, N_NODES),
+            st.integers(1, N_VERSIONS),
+        ),
+        st.tuples(st.just("churn"), st.integers(0, N_PEERS - 1)),
+        st.tuples(
+            st.just("view"),
+            st.integers(0, N_PEERS - 1),
+            st.integers(1, N_NODES),
+            st.integers(0, 2**32),
+        ),
+    ),
+    max_size=60,
+)
+
+
+def assert_default_pick_matches_reference(pop, seed):
+    recounted = recompute_counts(pop)
+    for node in range(1, N_NODES + 1):
+        versions = pop.store.versions_of(node)
+        fast_rng, reference_rng = random.Random(seed), random.Random(seed)
+        fast = pop.index.popular(node, versions, fast_rng)
+        reference = pick_popular(versions, pop.index.counts_for(node), reference_rng)
+        assert fast is reference
+        assert fast_rng.getstate() == reference_rng.getstate()
+        assert pop.index.total(node) == sum(recounted.get(node, {}).values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations)
+def test_default_pick_matches_the_reference_scan(ops):
+    store = DirectoryStore()
+    for _ in range(N_NODES):
+        store.add_node(True, 0.5, created_at=0)
+        for _ in range(N_VERSIONS - 1):
+            store.add_version(store.node_count, 0.5, (), created_at=0)
+    # the same operations on two populations: `probed` has its default pick
+    # checked after every operation, which refreshes its leaders; `unprobed`
+    # keeps whatever state the operations alone leave, and must agree on
+    # every view
+    probed, unprobed = PeerPopulation(N_PEERS, store), PeerPopulation(N_PEERS, store)
+    for step, op in enumerate(ops):
+        if op[0] == "set":
+            probed.set_preference(*op[1:])
+            unprobed.set_preference(*op[1:])
+        elif op[0] == "churn":
+            probed.churn_reset(op[1])
+            unprobed.churn_reset(op[1])
+        else:
+            _, peer, node, seed = op
+            seen = probed.viewing(node, peer, random.Random(seed))
+            assert unprobed.viewing(node, peer, random.Random(seed)) is seen
+        assert_default_pick_matches_reference(probed, step)
+    assert_default_pick_matches_reference(unprobed, len(ops))
