@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .directory import (
     DirectoryStore,
@@ -97,16 +97,25 @@ class SimConfig:
             raise ValueError("realizations must be >= 1")
 
 
-@dataclass
 class TraversalRecord:
     """What one walk did: the directory versions occupied (root first in
     the default walk), their summed out-degree, and the update, if any."""
 
-    peer: int
-    path: list[NodeVersion] = field(default_factory=list)
-    degree_sum: int = 0
-    mean_degree: float = 0.0
-    updated: int | None = None
+    __slots__ = ("peer", "path", "degree_sum", "mean_degree", "updated")
+
+    def __init__(
+        self,
+        peer: int,
+        path: list[NodeVersion],
+        degree_sum: int,
+        mean_degree: float,
+        updated: int | None,
+    ):
+        self.peer = peer
+        self.path = path
+        self.degree_sum = degree_sum
+        self.mean_degree = mean_degree
+        self.updated = updated
 
 
 def choose_update_index(mean_degree: float, k: int, p: float) -> int:
@@ -182,7 +191,7 @@ class Simulation:
         then walks immediately)."""
         cfg = self.config
         rng = self.rng
-        peer = rng.randrange(cfg.n_peers)
+        peer = rng._randbelow(cfg.n_peers)  # randrange(n_peers), same draw
         if rng.random() < cfg.p_leave:
             self.peers.churn_reset(peer)
         self.t += 1
@@ -208,7 +217,7 @@ class Simulation:
         rng = self.rng
         peers = self.peers
         random_draw = rng.random
-        randrange = rng.randrange
+        randbelow = rng._randbelow  # randrange(n) for an int n >= 1, same draw
         select = peers.select
         literal = cfg.literal_traversal
         if literal:
@@ -229,7 +238,7 @@ class Simulation:
         degree = len(current.children)
         while current.is_dir and current.children:
             children = current.children
-            child = children[randrange(len(children))] if len(children) > 1 else children[0]
+            child = children[randbelow(len(children))] if len(children) > 1 else children[0]
             current = viewing(child, peer, rng)
             if random_draw() >= current.quality:  # the quality test also applies to files
                 current = select(child, peer, rng)
@@ -272,7 +281,7 @@ class Simulation:
             if len(children) == 1:
                 children = ()
             else:
-                drop = rng.randrange(len(children))
+                drop = rng._randbelow(len(children))
                 children = children[:drop] + children[drop + 1 :]
         else:
             child_is_dir = rng.random() > cfg.p_file
@@ -322,7 +331,8 @@ def run_single(
     while sim.t < t_max:
         step()
         t = sim.t
-        observe(store, index, t)
+        if index._crossings:  # events keep the step they crossed at
+            observe(store, index, t)
         if t == t_max or t % snapshot_interval == 0:
             tree = main_tree(store, index, metrics_rng)
             snapshots.append(_metrics.snapshot(store, index, t, metrics_rng, tree=tree))

@@ -56,9 +56,9 @@ class ExperimentSpec:
             param, values = self.sweep
             if not values:
                 raise ValueError("sweep needs at least one value")
-            object.__setattr__(
-                self, "sweep", (normalize_param(param), tuple(values))
-            )
+            param = normalize_param(param)
+            values = tuple(parse_param_value(param, value) for value in values)
+            object.__setattr__(self, "sweep", (param, values))
         self.configs()  # out-of-domain sweep values fail here, up front
 
     def configs(self) -> list[tuple[float | int | None, SimConfig]]:
@@ -67,10 +67,7 @@ class ExperimentSpec:
         if self.sweep is None:
             return [(None, self.base)]
         param, values = self.sweep
-        return [
-            (value, replace(self.base, **{param: parse_param_value(param, value)}))
-            for value in values
-        ]
+        return [(value, replace(self.base, **{param: value})) for value in values]
 
 
 @dataclass

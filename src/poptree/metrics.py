@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .directory import DirectoryStore, MainTree, main_tree, pick_popular
+from .directory import DirectoryStore, MainTree, main_tree
 from .peers import PopularityIndex
 
 
@@ -104,13 +104,16 @@ def degree_histogram(
 ) -> dict[int, int]:
     """Out-degree frequency over one representative version per node: the
     most viewed one, ties broken at random.  Nodes nobody views any more
-    are left out."""
+    are left out.
+
+    The pick is `index.popular`, which makes the same pick with the same
+    draws as `pick_popular` but needs no scan for a node with a known
+    leader.  Nodes go in id order, so tie draws come in a fixed order."""
     histogram: dict[int, int] = {}
     for node in range(1, store.node_count + 1):
-        counts = index.counts_for(node)
-        if not counts:
+        if not index.counts_for(node):
             continue
-        representative = pick_popular(store.versions_of(node), counts, rng)
+        representative = index.popular(node, store.versions_of(node), rng)
         degree = len(representative.children)
         histogram[degree] = histogram.get(degree, 0) + 1
     return histogram
@@ -128,13 +131,19 @@ def viewers_by_quality(
     store: DirectoryStore, index: PopularityIndex
 ) -> list[QualityBucket]:
     """Mean viewers per version, bucketed by quality decile.  Every version
-    counts, viewed or not."""
+    counts, viewed or not; viewers are summed from each node's counts, so
+    unviewed versions cost no lookup.  A quality is below 1 (NodeVersion
+    checks it), and quality * 10 then rounds to below 10, so
+    int(quality * 10) is the decile, 0 to 9."""
     versions = [0] * 10
     viewers = [0] * 10
-    for v in store.iter_versions():
-        bucket = min(int(v.quality * 10), 9)
-        versions[bucket] += 1
-        viewers[bucket] += index.count(v.node, v.version)
+    counts_for = index.counts_for
+    for node in range(1, store.node_count + 1):
+        node_versions = store.versions_of(node)
+        for v in node_versions:
+            versions[int(v.quality * 10)] += 1
+        for version, count in counts_for(node).items():
+            viewers[int(node_versions[version - 1].quality * 10)] += count
     return [
         QualityBucket(b / 10, (b + 1) / 10, versions[b], viewers[b]) for b in range(10)
     ]

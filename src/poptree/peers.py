@@ -17,6 +17,7 @@ from .directory import DirectoryStore, NodeVersion, pick_popular
 from .namespace import Namespace, ValueRecord, digest, node_name
 
 _EMPTY: dict[int, int] = {}
+_GROW_CHUNK = 1024  # node slots the index lists gain at a time
 
 
 class PopularityIndex:
@@ -38,7 +39,11 @@ class PopularityIndex:
     keeps it as long as its new count still beats the bound; a plain cached
     maximum would be lost on almost every step, since the leader is the
     version most often left.  When the leader is unknown, `popular` scans
-    the counts, and records a unique top if it finds one.
+    the counts, and records a unique top if it finds one.  `move` shifts one
+    viewer between two versions of a node in a single call.
+
+    The node-indexed lists grow in chunks ahead of the store, so a new
+    node's first count rarely needs them extended.
     """
 
     def __init__(self, majority_count: int | None = None):
@@ -96,7 +101,7 @@ class PopularityIndex:
         return versions[leader - 1]
 
     def _grow(self, node: int) -> None:
-        extra = [0] * (node + 1 - len(self._totals))
+        extra = [0] * (node + _GROW_CHUNK - len(self._totals))
         self._totals.extend(extra)
         self._leader.extend(extra)
         self._bound.extend(extra)
@@ -105,7 +110,7 @@ class PopularityIndex:
         totals = self._totals
         try:
             total = totals[node] + 1
-        except IndexError:  # a node the lists do not reach yet
+        except IndexError:  # a node beyond the last chunk
             self._grow(node)
             total = 1
         totals[node] = total
@@ -127,6 +132,33 @@ class PopularityIndex:
                     self._leader[node] = 0
         if c == self._majority_count:
             self._crossings.append((node, version))
+
+    def move(self, node: int, old: int, new: int) -> None:
+        """One viewer of `node` leaves version `old` for `new`: the same
+        state as `increment(node, new)` then `decrement(node, old)`, without
+        touching the node's total."""
+        counts = self._counts[node]
+        c = counts.get(new, 0) + 1
+        counts[new] = c
+        leaders = self._leader
+        bounds = self._bound
+        leader = leaders[node]
+        if leader != new and c > bounds[node]:
+            if not leader:
+                leaders[node] = leader = new
+            else:
+                bounds[node] = c
+                if c == counts[leader]:
+                    leaders[node] = leader = 0
+        if c == self._majority_count:
+            self._crossings.append((node, new))
+        c = counts[old] - 1
+        if c:
+            counts[old] = c
+        else:
+            del counts[old]  # `new` keeps the node's counts non-empty
+        if leader == old and c <= bounds[node]:
+            leaders[node] = 0
 
     def decrement(self, node: int, version: int) -> None:
         counts = self._counts[node]
@@ -215,10 +247,10 @@ class PeerPopulation:
         if old == version:
             return
         prefs[node] = version
-        index = self.index
-        index.increment(node, version)
-        if old is not None:
-            index.decrement(node, old)
+        if old is None:
+            self.index.increment(node, version)
+        else:
+            self.index.move(node, old, version)
 
     def viewing(self, node: int, peer: int, rng: random.Random) -> NodeVersion:
         """The version of `node` that `peer` views.
@@ -260,8 +292,9 @@ class PeerPopulation:
         versions = nodes[node]
         index = self.index
         counts = index._counts.get(node)
+        # _randbelow(n) is randrange(n) for an int n >= 1, with the same draw
         if counts:
-            r = rng.randrange(index._totals[node])
+            r = rng._randbelow(index._totals[node])
             for j, c in counts.items():
                 r -= c
                 if r < 0:
@@ -269,8 +302,15 @@ class PeerPopulation:
         elif len(versions) == 1:
             j = 1
         else:
-            j = rng.randrange(len(versions)) + 1
-        self.set_preference(peer, node, j)
+            j = rng._randbelow(len(versions)) + 1
+        prefs = self._prefs[peer]
+        old = prefs.get(node)
+        if old != j:  # what set_preference does, without the call
+            prefs[node] = j
+            if old is None:
+                index.increment(node, j)
+            else:
+                index.move(node, old, j)
         return versions[j - 1]
 
     def churn_reset(self, peer: int) -> None:
@@ -278,9 +318,9 @@ class PeerPopulation:
         namespace registration) is dropped and each affected viewer count
         decremented."""
         prefs = self._prefs[peer]
-        index = self.index
+        decrement = self.index.decrement
         for node, version in prefs.items():
-            index.decrement(node, version)
+            decrement(node, version)
         prefs.clear()
         self._generation[peer] += 1
 

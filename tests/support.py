@@ -7,8 +7,9 @@ class ScriptedRandom:
     """random.Random stand-in replaying queued draws.
 
     random() pops from `randoms`, randrange(n) pops from `randranges`
-    (validating the scripted value fits the requested range).  Running
-    out of scripted values fails the test loudly.
+    (validating the scripted value fits the requested range).  _randbelow(n),
+    which the simulation calls for randrange(n) draws, pops from the same
+    queue.  Running out of scripted values fails the test loudly.
     """
 
     def __init__(self, randoms=(), randranges=()):
@@ -26,6 +27,8 @@ class ScriptedRandom:
         value = self.randranges.pop(0)
         assert 0 <= value < n, f"scripted randrange value {value} out of range({n})"
         return value
+
+    _randbelow = randrange
 
     def exhausted(self) -> bool:
         return not self.randoms and not self.randranges

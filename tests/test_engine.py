@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poptree.engine import (
     SimConfig,
@@ -14,7 +16,7 @@ from poptree.engine import (
     run,
     run_single,
 )
-from poptree.metrics import Snapshot
+from poptree.metrics import MajorityTracker, Snapshot
 from support import ScriptedRandom
 
 # --- choose_update_index ----------------------------------------------------
@@ -503,3 +505,84 @@ def test_metrics_do_not_perturb_the_trajectory():
             f.total_nodes_viewed,
             f.total_versions,
         )
+
+
+def test_majority_events_keep_their_exact_step():
+    # run_single only looks for events on steps that queued a crossing; a
+    # tracker observing every step must see the same events at the same steps
+    cfg = SimConfig(n_peers=5, p_leave=0.3, t_max=1500, realizations=1, seed=4)
+    sim = Simulation(cfg)
+    tracker = MajorityTracker()
+    tracker.observe(sim.store, sim.index, 0)
+    while sim.t < cfg.t_max:
+        sim.step()
+        tracker.observe(sim.store, sim.index, sim.t)
+    assert tracker.events
+    assert run_single(cfg).majority_events == tracker.events
+
+
+# --- the draw primitive -------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**61 + 5])
+def test_randbelow_draws_what_randrange_draws(seed):
+    # the simulation calls Random._randbelow(n) where it means randrange(n);
+    # both must give the same stream and leave the same state, for bounds at
+    # and around every power of two up to 2048
+    bounds = list(range(1, 2049)) * 2
+    direct, reference = random.Random(seed), random.Random(seed)
+    assert [direct._randbelow(n) for n in bounds] == [reference.randrange(n) for n in bounds]
+    assert direct.getstate() == reference.getstate()
+
+
+# --- engine property test -------------------------------------------------------
+
+
+def assert_index_matches_preferences(sim):
+    """The popularity index equals a recount of every peer's preferences,
+    and each node's leader and bound are consistent with the counts."""
+    peers, index = sim.peers, sim.index
+    recounted: dict[int, dict[int, int]] = {}
+    for peer in range(peers.n_peers):
+        for node, version in peers.preferences_of(peer).items():
+            counts = recounted.setdefault(node, {})
+            counts[version] = counts.get(version, 0) + 1
+    assert index.viewed_node_count == len(recounted)
+    for node in range(1, sim.store.node_count + 1):
+        counts = recounted.get(node, {})
+        assert dict(index.counts_for(node)) == counts
+        assert index.total(node) == sum(counts.values())
+        leader, bound = index._leader[node], index._bound[node]
+        if not counts:
+            assert (leader, bound) == (0, 0)
+            continue
+        others = [c for version, c in counts.items() if version != leader]
+        assert all(c <= bound for c in others)
+        if leader:
+            assert counts[leader] > bound
+            assert all(counts[leader] > c for c in others)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_peers=st.integers(1, 6),
+    p_leave=st.sampled_from([0.0, 0.5, 1.0]),
+    p_update=st.floats(0.0, 1.0),
+    literal=st.booleans(),
+    seed=st.integers(0, 2**32),
+    steps=st.integers(1, 200),
+)
+def test_index_stays_consistent_over_engine_steps(n_peers, p_leave, p_update, literal, seed, steps):
+    sim = Simulation(
+        SimConfig(
+            n_peers=n_peers,
+            p_leave=p_leave,
+            p_update=p_update,
+            literal_traversal=literal,
+            seed=seed,
+        )
+    )
+    assert_index_matches_preferences(sim)
+    for _ in range(steps):
+        sim.step()
+        assert_index_matches_preferences(sim)

@@ -99,6 +99,29 @@ def test_parse_param_value_reads_ints_and_command_line_strings():
     assert [cfg.n_peers for _, cfg in spec.configs()] == [20, 30]
 
 
+def test_sweep_values_from_a_config_file_take_the_field_type(tmp_path):
+    spec = spec_from_dict(
+        {
+            "config": {"t_max": 20, "realizations": 1},
+            "sweep": {"param": "n_peers", "values": [" 20", 30]},
+            "out_dir": str(tmp_path),
+            "snapshot_interval": 10,
+        }
+    )
+    assert spec.sweep == ("n_peers", (20, 30))
+    bundles = run_experiment(spec)
+    assert [b.sweep_value for b in bundles] == [20, 30]
+    assert all(type(b.sweep_value) is int for b in bundles)
+    for value in (20, 30):
+        payload = json.loads((tmp_path / f"n_peers={value}" / "histograms.json").read_text())
+        assert payload["config"]["_sweep_value"] == value
+        assert type(payload["config"]["_sweep_value"]) is int
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+        "n_peers=20",
+        "n_peers=30",
+    ]
+
+
 @pytest.mark.parametrize("interval", [2.5, 2.0, True, "2"])
 def test_spec_rejects_non_int_snapshot_interval(interval):
     with pytest.raises(TypeError, match="snapshot_interval"):

@@ -1,14 +1,16 @@
 """Metrics extraction: snapshots, histograms, majority tracking."""
 
+import math
 import random
 
 import pytest
 
-from poptree.directory import DirectoryStore, init_control_tree
+from poptree.directory import DirectoryStore, init_control_tree, pick_popular
 from poptree.engine import SimConfig, Simulation, run_single
 from poptree.metrics import (
     AverageSnapshot,
     MajorityTracker,
+    QualityBucket,
     Snapshot,
     average_snapshots,
     degree_histogram,
@@ -177,7 +179,48 @@ def test_viewers_by_quality_mixture():
     assert buckets[9].mean_viewers == 4.0
 
 
+def test_viewers_by_quality_puts_the_highest_quality_in_the_top_decile():
+    store = DirectoryStore()
+    store.add_node(True, math.nextafter(1.0, 0.0), created_at=0)
+    pop = PeerPopulation(2, store)
+    pop.set_preference(0, 1, 1)
+    buckets = viewers_by_quality(store, pop.index)
+    assert (buckets[9].versions, buckets[9].total_viewers) == (1, 1)
+
+
 # --- majority tracking --------------------------------------------------------
+
+
+def test_histograms_equal_a_recount_by_the_reference_scan():
+    # degree_histogram picks through the index's leaders and viewers_by_quality
+    # sums the index's counts; a recount with pick_popular and one count per
+    # version must agree, draw for draw
+    sim = Simulation(SimConfig(n_peers=8, p_leave=0.3, seed=21))
+    for _ in range(3000):
+        sim.step()
+    store, index = sim.store, sim.index
+
+    reference_rng = random.Random(5)
+    degrees: dict[int, int] = {}
+    for node in range(1, store.node_count + 1):
+        counts = index.counts_for(node)
+        if counts:
+            degree = len(pick_popular(store.versions_of(node), counts, reference_rng).children)
+            degrees[degree] = degrees.get(degree, 0) + 1
+    versions, viewers = [0] * 10, [0] * 10
+    for v in store.iter_versions():
+        bucket = min(int(v.quality * 10), 9)
+        versions[bucket] += 1
+        viewers[bucket] += index.count(v.node, v.version)
+    assert reference_rng.getstate() != random.Random(5).getstate(), "no tie was drawn"
+
+    rng = random.Random(5)
+    histogram = degree_histogram(store, index, rng)
+    assert list(histogram.items()) == list(degrees.items())
+    assert rng.getstate() == reference_rng.getstate()
+    assert viewers_by_quality(store, index) == [
+        QualityBucket(b / 10, (b + 1) / 10, versions[b], viewers[b]) for b in range(10)
+    ]
 
 
 def test_majority_fires_only_above_half():

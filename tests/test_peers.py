@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from poptree.directory import DirectoryStore, pick_popular
 from poptree.namespace import node_name
-from poptree.peers import PeerPopulation
+from poptree.peers import PeerPopulation, PopularityIndex
 from support import ScriptedRandom
 
 
@@ -373,6 +373,86 @@ def test_last_viewer_leaves_and_the_node_is_viewed_again():
     assert leader_of(pop, 1) == 3
     assert pop.viewing(1, 2, ScriptedRandom()).version == 3
     assert pop.index.count(1, 3) == 2
+
+
+# --- moving a viewer in one call ----------------------------------------------
+
+
+def index_state(index):
+    """Everything the index keeps, with each node's counts in dict order."""
+    return (
+        [(node, list(counts.items())) for node, counts in index._counts.items()],
+        index._totals,
+        index._leader,
+        index._bound,
+        index.viewed_node_count,
+        index._crossings,
+    )
+
+
+def twin_indexes(version_counts, majority_count=None):
+    """Two indexes with the same viewer counts on node 1."""
+    twins = PopularityIndex(majority_count), PopularityIndex(majority_count)
+    for index in twins:
+        for version, count in version_counts.items():
+            for _ in range(count):
+                index.increment(1, version)
+    return twins
+
+
+def move_both(moved, twin, old, new):
+    """`move` on one index, increment plus decrement on its twin: the two
+    must end in the same state."""
+    moved.move(1, old, new)
+    twin.increment(1, new)
+    twin.decrement(1, old)
+    assert index_state(moved) == index_state(twin)
+
+
+def test_move_takes_the_leader_into_a_tie_with_the_runner_up():
+    moved, twin = twin_indexes({1: 3, 2: 2, 3: 1})
+    assert moved._leader[1] == 1
+    move_both(moved, twin, 1, 3)  # 2 : 2 : 2
+    assert moved._leader[1] == 0
+    assert moved.total(1) == 6
+
+
+def test_move_lets_a_non_leader_overtake_the_leader():
+    moved, twin = twin_indexes({1: 3, 2: 2})
+    move_both(moved, twin, 1, 2)  # 2 : 3
+    assert moved.counts_for(1) == {1: 2, 2: 3}
+    move_both(moved, twin, 1, 2)  # 1 : 4, above the bound the tie left
+    assert moved._leader[1] == 2
+    store = DirectoryStore()
+    store.add_node(True, 0.5, created_at=0)
+    store.add_version(1, 0.5, (), created_at=0)
+    assert moved.popular(1, store.versions_of(1), ScriptedRandom()).version == 2
+
+
+def test_move_empties_a_version_and_adds_it_back_at_the_end():
+    moved, twin = twin_indexes({1: 1, 2: 2})
+    move_both(moved, twin, 1, 2)
+    assert list(moved.counts_for(1).items()) == [(2, 3)]
+    move_both(moved, twin, 2, 1)
+    assert list(moved.counts_for(1).items()) == [(2, 2), (1, 1)]
+    assert moved._leader[1] == 2
+
+
+def test_move_to_the_majority_count_queues_one_crossing():
+    moved, twin = twin_indexes({1: 2, 2: 1}, majority_count=3)
+    assert moved.drain_crossings() == twin.drain_crossings() == []
+    move_both(moved, twin, 2, 1)  # 3 : 0
+    move_both(moved, twin, 1, 2)  # 2 : 1, back below the line
+    assert moved.drain_crossings() == [(1, 1)]
+
+
+def test_set_preference_moves_an_existing_viewer():
+    _, pop = build_population(versions=2)
+    seed_counts(pop, 1, {1: 2})
+    pop.set_preference(0, 1, 2)
+    assert pop.index.counts_for(1) == {1: 1, 2: 1}
+    assert pop.index.total(1) == 2
+    assert pop.preference(0, 1) == 2
 
 
 # the bookkeeping is per node; one node with few peers and versions makes
