@@ -6,93 +6,25 @@ follows the most viewed version.  The package models the multi-writer
 namespace, the browsing/updating peer population, and the metrics that
 show popularity steering the commonly seen tree toward quality above the
 update average.
+
+The package exports what the command line and the experiment API need;
+the building blocks live in their submodules (`poptree.directory`,
+`poptree.peers`, `poptree.metrics`, ...).
 """
 
-from .directory import (
-    DirectoryStore,
-    MainTree,
-    NodeVersion,
-    expected_quality_fraction,
-    init_control_tree,
-    main_tree,
-    sample_quality,
-    serialize_store,
-)
-from .engine import (
-    RunResult,
-    SimConfig,
-    Simulation,
-    TraversalRecord,
-    choose_update_index,
-    derive_seed,
-    run,
-    run_single,
-)
+from .engine import RunResult, SimConfig, Simulation, run, run_single
 from .experiment import ExperimentSpec, ResultBundle, run_experiment
-from .export import export_dot
-from .metrics import (
-    AverageSnapshot,
-    MajorityEvent,
-    MajorityTracker,
-    MetricsSeries,
-    QualityBucket,
-    Snapshot,
-    average_snapshots,
-    degree_histogram,
-    snapshot,
-    viewers_by_quality,
-    viewers_histogram,
-)
-from .namespace import (
-    Key,
-    KeyCollisionError,
-    Namespace,
-    ValueRecord,
-    digest,
-    node_name,
-)
-from .peers import PeerPopulation, PopularityIndex
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AverageSnapshot",
-    "DirectoryStore",
     "ExperimentSpec",
-    "Key",
-    "KeyCollisionError",
-    "MainTree",
-    "MajorityEvent",
-    "MajorityTracker",
-    "MetricsSeries",
-    "Namespace",
-    "NodeVersion",
-    "PeerPopulation",
-    "PopularityIndex",
-    "QualityBucket",
     "ResultBundle",
     "RunResult",
     "SimConfig",
     "Simulation",
-    "Snapshot",
-    "TraversalRecord",
-    "ValueRecord",
-    "average_snapshots",
-    "choose_update_index",
-    "degree_histogram",
-    "derive_seed",
-    "digest",
-    "expected_quality_fraction",
-    "export_dot",
-    "init_control_tree",
-    "main_tree",
-    "node_name",
     "run",
     "run_experiment",
     "run_single",
-    "sample_quality",
-    "serialize_store",
-    "snapshot",
-    "viewers_by_quality",
-    "viewers_histogram",
+    "__version__",
 ]

@@ -99,21 +99,19 @@ class SimConfig:
 
 class TraversalRecord:
     """What one walk did: the directory versions occupied (root first in
-    the default walk), their summed out-degree, and the update, if any."""
+    the default walk), their mean out-degree, and the update, if any."""
 
-    __slots__ = ("peer", "path", "degree_sum", "mean_degree", "updated")
+    __slots__ = ("peer", "path", "mean_degree", "updated")
 
     def __init__(
         self,
         peer: int,
         path: list[NodeVersion],
-        degree_sum: int,
         mean_degree: float,
         updated: int | None,
     ):
         self.peer = peer
         self.path = path
-        self.degree_sum = degree_sum
         self.mean_degree = mean_degree
         self.updated = updated
 
@@ -248,16 +246,16 @@ class Simulation:
 
         if literal:
             del path[0]
-            degree = viewed_degree
             if not path:
-                return TraversalRecord(peer, [], degree, 0.0, None)
+                return TraversalRecord(peer, [], 0.0, None)
+            degree = viewed_degree
         mean_degree = degree / len(path)
         target = path[choose_update_index(mean_degree, len(path), random_draw())]
         updated = None
         if random_draw() < cfg.p_update:
             self.apply_update(target, peer)
             updated = target.node
-        return TraversalRecord(peer, path, degree, mean_degree, updated)
+        return TraversalRecord(peer, path, mean_degree, updated)
 
     def apply_update(self, target: NodeVersion, peer: int) -> NodeVersion:
         """Publish a new version of target's node as `peer`.

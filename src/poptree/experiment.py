@@ -6,12 +6,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .engine import SimConfig, check_snapshot_interval, run
+from .engine import _INT_FIELDS, SimConfig, check_snapshot_interval, run
 from .metrics import AverageSnapshot, MetricsSeries
 
 SWEEPABLE_PARAMS = ("n_peers", "s", "p_update", "p_add", "p_file", "p_leave", "t_max")
 PARAM_ALIASES = {"peers": "n_peers", "n": "n_peers", "steps": "t_max"}
-INT_PARAMS = {"n_peers", "t_max", "seed", "realizations"}
 
 
 def normalize_param(name: str) -> str:
@@ -29,7 +28,7 @@ def parse_param_value(param: str, raw: str | float | int):
     """A sweep value as its field's type.  An int parameter takes a non-bool
     int or an integer string, a float parameter a non-bool number or a
     numeric string; anything else is a ValueError naming both."""
-    is_int = param in INT_PARAMS
+    is_int = param in _INT_FIELDS
     if not isinstance(raw, bool) and isinstance(raw, (int, str) if is_int else (int, float, str)):
         try:
             return int(raw) if is_int else float(raw)
@@ -111,7 +110,8 @@ def _reject_unknown_keys(what: str, data, known: tuple[str, ...]) -> None:
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Inverse of spec_to_dict.  Missing keys take their defaults; an
-    unknown key is a ValueError that names it."""
+    unknown key, sweep values that are not a list, or a non-bool emit_dot
+    is a ValueError that names it."""
     _reject_unknown_keys("experiment", data, _SPEC_KEYS)
     config = data.get("config", {})
     _reject_unknown_keys("config", config, _CONFIG_KEYS)
@@ -119,14 +119,21 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     sweep_data = data.get("sweep")
     sweep = None
     if sweep_data is not None:
-        sweep = (sweep_data["param"], tuple(sweep_data["values"]))
+        _reject_unknown_keys("sweep", sweep_data, ("param", "values"))
+        values = sweep_data["values"]
+        if not isinstance(values, list):
+            raise ValueError(f"sweep values must be a JSON list, got {values!r}")
+        sweep = (sweep_data["param"], tuple(values))
+    emit_dot = data.get("emit_dot", False)
+    if not isinstance(emit_dot, bool):
+        raise ValueError(f"emit_dot must be true or false, got {emit_dot!r}")
     out_dir = data.get("out_dir")
     return ExperimentSpec(
         base=base,
         sweep=sweep,
         out_dir=None if out_dir is None else Path(out_dir),
         snapshot_interval=data.get("snapshot_interval", 1000),
-        emit_dot=data.get("emit_dot", False),
+        emit_dot=emit_dot,
     )
 
 

@@ -8,21 +8,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .directory import MainTree
 from .experiment import ExperimentSpec, ResultBundle, spec_to_dict
+from .metrics import Snapshot
 
-SERIES_FIELDS = (
-    "realization",
-    "t",
-    "main_tree_size",
-    "main_tree_avg_quality",
-    "total_nodes",
-    "total_nodes_viewed",
-    "total_versions",
-)
+# a series row is the realization followed by every Snapshot field, in order
+SERIES_FIELDS = ("realization", *(field.name for field in fields(Snapshot)))
 
 MAJORITY_FIELDS = ("realization", "node", "version", "quality", "created_at", "reached_at")
 
@@ -57,29 +51,9 @@ def write_series_csv(path: Path, bundle: ResultBundle) -> None:
         writer.writerow(SERIES_FIELDS)
         for realization, series in enumerate(bundle.series):
             for snap in series.snapshots:
-                writer.writerow(
-                    (
-                        realization,
-                        snap.t,
-                        snap.main_tree_size,
-                        snap.main_tree_avg_quality,
-                        snap.total_nodes,
-                        snap.total_nodes_viewed,
-                        snap.total_versions,
-                    )
-                )
+                writer.writerow((realization, *astuple(snap)))
         for snap in bundle.average:
-            writer.writerow(
-                (
-                    "mean",
-                    snap.t,
-                    snap.main_tree_size,
-                    snap.main_tree_avg_quality,
-                    snap.total_nodes,
-                    snap.total_nodes_viewed,
-                    snap.total_versions,
-                )
-            )
+            writer.writerow(("mean", *astuple(snap)))
 
 
 def write_majority_csv(path: Path, bundle: ResultBundle) -> None:

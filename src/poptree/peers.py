@@ -63,10 +63,6 @@ class PopularityIndex:
     def count(self, node: int, version: int) -> int:
         return self._counts.get(node, _EMPTY).get(version, 0)
 
-    def lambda_max(self, node: int) -> int:
-        counts = self._counts.get(node)
-        return max(counts.values()) if counts else 0
-
     def total(self, node: int) -> int:
         totals = self._totals
         return totals[node] if 0 <= node < len(totals) else 0
@@ -207,7 +203,6 @@ class PeerPopulation:
         self.store = store
         self.index = PopularityIndex(majority_count)
         self._prefs: list[dict[int, int]] = [{} for _ in range(n_peers)]
-        self._generation = [0] * n_peers
         self._namespace_rng = namespace_rng
         # the store's per-node version lists, read directly by the walk
         self._node_versions = store._versions
@@ -236,9 +231,6 @@ class PeerPopulation:
     def preferences_of(self, peer: int) -> dict[int, int]:
         """Live node -> version mapping for `peer`; callers must not mutate."""
         return self._prefs[peer]
-
-    def generation(self, peer: int) -> int:
-        return self._generation[peer]
 
     def set_preference(self, peer: int, node: int, version: int) -> None:
         """Point `peer` at (node, version), moving its viewer count."""
@@ -322,8 +314,3 @@ class PeerPopulation:
         for node, version in prefs.items():
             decrement(node, version)
         prefs.clear()
-        self._generation[peer] += 1
-
-    def lambda_max(self, node: int) -> int:
-        self.store.versions_of(node)  # unknown node is a state error here too
-        return self.index.lambda_max(node)

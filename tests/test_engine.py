@@ -199,7 +199,6 @@ def test_traverse_hand_trace_on_initial_tree():
     sim.rng = ScriptedRandom(randoms=[0.3, 0.4, 0.0, 0.9], randranges=[1])
     record = sim.traverse(0)
     assert [(v.node, v.version) for v in record.path] == [(1, 1), (3, 1)]
-    assert record.degree_sum == 3
     assert record.mean_degree == 1.5
     assert record.updated is None
     assert sim.rng.exhausted()
@@ -213,7 +212,6 @@ def test_traverse_childless_root_path_of_one():
     sim.rng = ScriptedRandom(randoms=[0.3, 0.5, 0.9])  # keep, position, no update
     record = sim.traverse(5)
     assert [(v.node, v.version) for v in record.path] == [(1, 2)]
-    assert record.degree_sum == 0
     assert record.mean_degree == 0.0
     assert sim.rng.exhausted()
 
@@ -262,7 +260,8 @@ def test_traverse_record_invariants_over_a_run():
         record = sim.step()
         assert record.path, "default walk always includes the root"
         assert all(v.is_dir for v in record.path)
-        assert record.mean_degree == record.degree_sum / len(record.path)
+        degree_sum = sum(len(v.children) for v in record.path)
+        assert record.mean_degree == degree_sum / len(record.path)
         assert record.path[0].node == 1
 
 
@@ -274,8 +273,7 @@ def test_literal_trace_excludes_root_from_path():
     sim.rng = ScriptedRandom(randoms=[0.3, 0.4, 0.0, 0.9], randranges=[1])
     record = sim.traverse(0)
     assert [(v.node, v.version) for v in record.path] == [(3, 1)]
-    assert record.degree_sum == 3  # the root's degree still counts
-    assert record.mean_degree == 3.0
+    assert record.mean_degree == 3.0  # the root's degree still counts
     assert sim.rng.exhausted()
 
 
@@ -376,20 +374,31 @@ def test_update_single_link_delete_empties_the_version():
 # --- stepping and churn -------------------------------------------------------
 
 
-def test_step_without_churn_never_resets():
+def count_resets(monkeypatch, sim):
+    """Record the peer of every churn_reset call `sim` makes."""
+    resets = []
+    original = sim.peers.churn_reset
+    monkeypatch.setattr(
+        sim.peers, "churn_reset", lambda peer: resets.append(peer) or original(peer)
+    )
+    return resets
+
+
+def test_step_without_churn_never_resets(monkeypatch):
     sim = Simulation(SimConfig(p_leave=0.0, n_peers=20, seed=3))
+    resets = count_resets(monkeypatch, sim)
     for _ in range(1000):
         sim.step()
-    assert all(sim.peers.generation(u) == 0 for u in range(20))
+    assert resets == []
     assert sim.t == 1000
 
 
-def test_step_with_certain_churn_resets_every_chosen_peer():
+def test_step_with_certain_churn_resets_every_chosen_peer(monkeypatch):
     sim = Simulation(SimConfig(p_leave=1.0, n_peers=10, seed=3))
+    resets = count_resets(monkeypatch, sim)
     steps = 300
-    for _ in range(steps):
-        sim.step()
-    assert sum(sim.peers.generation(u) for u in range(10)) == steps
+    walkers = [sim.step().peer for _ in range(steps)]
+    assert resets == walkers
 
 
 def test_step_chooses_peers_uniformly():

@@ -57,6 +57,7 @@ def test_spec_round_trips_through_dict():
     [
         ({"config": {"n_peers": 10, "n_peer": 5}}, "'n_peer'"),
         ({"config": {}, "snapshot_intervall": 5}, "'snapshot_intervall'"),
+        ({"sweep": {"param": "n_peers", "values": [10], "valuez": [20]}}, "sweep key.*'valuez'"),
     ],
 )
 def test_spec_from_dict_names_unknown_keys(data, key):
@@ -64,7 +65,20 @@ def test_spec_from_dict_names_unknown_keys(data, key):
         spec_from_dict(data)
 
 
-@pytest.mark.parametrize("data", [[], {"config": [1, 2]}])
+@pytest.mark.parametrize("values", ["10,20", "3", 10])
+def test_spec_from_dict_rejects_sweep_values_that_are_not_a_list(values):
+    data = {"sweep": {"param": "n_peers", "values": values}}
+    with pytest.raises(ValueError, match=f"sweep values.*{re.escape(repr(values))}"):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("emit_dot", ["no", 1, None], ids=repr)
+def test_spec_from_dict_rejects_a_non_bool_emit_dot(emit_dot):
+    with pytest.raises(ValueError, match=f"emit_dot.*{re.escape(repr(emit_dot))}"):
+        spec_from_dict({"emit_dot": emit_dot})
+
+
+@pytest.mark.parametrize("data", [[], {"config": [1, 2]}, {"sweep": ["n_peers", [10]]}])
 def test_spec_from_dict_rejects_non_objects(data):
     with pytest.raises(ValueError, match="JSON object"):
         spec_from_dict(data)

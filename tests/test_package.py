@@ -1,0 +1,58 @@
+"""The package's public surface and the benchmark worker built on it."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import poptree
+
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
+
+def test_public_names_are_the_cli_and_experiment_api():
+    from poptree import SimConfig, run  # noqa: F401  (README's library use)
+
+    assert sorted(poptree.__all__) == sorted(
+        [
+            "SimConfig",
+            "Simulation",
+            "RunResult",
+            "run",
+            "run_single",
+            "ExperimentSpec",
+            "ResultBundle",
+            "run_experiment",
+            "__version__",
+        ]
+    )
+    for name in poptree.__all__:
+        assert getattr(poptree, name) is not None
+
+
+@pytest.mark.parametrize("mode", ["plain", "traced", "memory"])
+def test_benchmark_worker_runs_a_tiny_experiment(tmp_path, mode):
+    # the worker patches poptree functions by name, so deleting one it
+    # wraps fails here and not only in a benchmark run
+    experiment = tmp_path / "experiment.json"
+    experiment.write_text(
+        json.dumps(
+            {
+                "config": {"n_peers": 20, "t_max": 300, "realizations": 1},
+                "snapshot_interval": 100,
+                "emit_dot": False,
+            }
+        )
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", str(WORKER), mode, str(experiment), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["steps"] == 300

@@ -1,5 +1,6 @@
 """Peer preferences, popularity counts, and churn."""
 
+import copy
 import random
 
 import pytest
@@ -134,17 +135,18 @@ def test_churn_reset_clears_preferences_and_counts():
     assert len(pop.preferences_of(3)) == 5
     pop.churn_reset(3)
     assert pop.preferences_of(3) == {}
-    assert pop.generation(3) == 1
     for node in range(1, 6):
         assert pop.index.count(node, 1) == 0
     assert pop.index.viewed_node_count == 0
 
 
-def test_churn_reset_of_fresh_peer_only_bumps_generation():
+def test_churn_reset_of_fresh_peer_leaves_the_index_unchanged():
     _, pop = build_population()
+    pop.set_preference(0, 1, 1)
+    before = copy.deepcopy(index_state(pop.index))
     pop.churn_reset(2)
-    assert pop.generation(2) == 1
     assert pop.preferences_of(2) == {}
+    assert index_state(pop.index) == before
 
 
 def test_churn_reset_decrements_shared_version():
@@ -166,21 +168,6 @@ def test_churn_reset_removes_namespace_registrations():
     assert len(resolved) == 1 and resolved[0][1] == 1
     pop.churn_reset(1)
     assert pop.namespace.resolve(node_name(1)) == []
-
-
-def test_lambda_max():
-    _, pop = build_population(versions=2)
-    assert pop.lambda_max(1) == 0
-    seed_counts(pop, 1, {1: 3, 2: 1})
-    assert pop.lambda_max(1) == 3
-    with pytest.raises(KeyError):
-        pop.lambda_max(42)
-
-
-def test_lambda_max_reports_ties():
-    _, pop = build_population(versions=2)
-    seed_counts(pop, 1, {1: 2, 2: 2})
-    assert pop.lambda_max(1) == 2
 
 
 def test_population_needs_at_least_one_peer():
