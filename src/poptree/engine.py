@@ -199,6 +199,11 @@ class Simulation:
         """Walk from the root to a leaf as `peer`, then maybe update one
         node on the path.
 
+        The walk itself is `PeerPopulation.walk`: at each node the peer
+        views its preferred version or, without one, the default (a
+        uniform pick among the most viewed versions), and re-picks in
+        proportion to viewer counts on a failed quality test.
+
         The path holds the directory versions finally occupied at each
         position, the occupied root version included, and the degree sum
         counts those same versions, so deviated-from versions never
@@ -212,47 +217,16 @@ class Simulation:
         checks.
         """
         cfg = self.config
-        rng = self.rng
-        peers = self.peers
-        random_draw = rng.random
-        randbelow = rng._randbelow  # randrange(n) for an int n >= 1, same draw
-        select = peers.select
         literal = cfg.literal_traversal
-        if literal:
-            viewed_degree = 0
-
-            def viewing(node, peer, rng):  # counts degrees as first viewed
-                nonlocal viewed_degree
-                version = peers.viewing(node, peer, rng)
-                viewed_degree += len(version.children)
-                return version
-
-        else:
-            viewing = peers.viewing
-        current = viewing(1, peer, rng)
-        if random_draw() >= current.quality:
-            current = select(1, peer, rng)
-        path = [current]
-        degree = len(current.children)
-        while current.is_dir and current.children:
-            children = current.children
-            child = children[randbelow(len(children))] if len(children) > 1 else children[0]
-            current = viewing(child, peer, rng)
-            if random_draw() >= current.quality:  # the quality test also applies to files
-                current = select(child, peer, rng)
-            if current.is_dir:
-                path.append(current)
-                degree += len(current.children)
-
+        path, degree = self.peers.walk(peer, self.rng, literal)
         if literal:
             del path[0]
             if not path:
                 return TraversalRecord(peer, [], 0.0, None)
-            degree = viewed_degree
         mean_degree = degree / len(path)
-        target = path[choose_update_index(mean_degree, len(path), random_draw())]
+        target = path[choose_update_index(mean_degree, len(path), self.rng.random())]
         updated = None
-        if random_draw() < cfg.p_update:
+        if self.rng.random() < cfg.p_update:
             self.apply_update(target, peer)
             updated = target.node
         return TraversalRecord(peer, path, mean_degree, updated)

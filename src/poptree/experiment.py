@@ -110,8 +110,9 @@ def _reject_unknown_keys(what: str, data, known: tuple[str, ...]) -> None:
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Inverse of spec_to_dict.  Missing keys take their defaults; an
-    unknown key, sweep values that are not a list, or a non-bool emit_dot
-    is a ValueError that names it."""
+    unknown key, a sweep without its param or values, a non-string sweep
+    param or out_dir, sweep values that are not a list, or a non-bool
+    emit_dot is a ValueError that names it."""
     _reject_unknown_keys("experiment", data, _SPEC_KEYS)
     config = data.get("config", {})
     _reject_unknown_keys("config", config, _CONFIG_KEYS)
@@ -120,14 +121,22 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     sweep = None
     if sweep_data is not None:
         _reject_unknown_keys("sweep", sweep_data, ("param", "values"))
+        missing = [key for key in ("param", "values") if key not in sweep_data]
+        if missing:
+            raise ValueError(f"sweep is missing key(s) {', '.join(map(repr, missing))}")
+        param = sweep_data["param"]
+        if not isinstance(param, str):
+            raise ValueError(f"sweep param must be a string, got {param!r}")
         values = sweep_data["values"]
         if not isinstance(values, list):
             raise ValueError(f"sweep values must be a JSON list, got {values!r}")
-        sweep = (sweep_data["param"], tuple(values))
+        sweep = (param, tuple(values))
     emit_dot = data.get("emit_dot", False)
     if not isinstance(emit_dot, bool):
         raise ValueError(f"emit_dot must be true or false, got {emit_dot!r}")
     out_dir = data.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ValueError(f"out_dir must be a string, got {out_dir!r}")
     return ExperimentSpec(
         base=base,
         sweep=sweep,

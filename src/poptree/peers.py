@@ -250,6 +250,9 @@ class PeerPopulation:
         An existing preference is returned as-is.  Otherwise the default
         applies: a uniform pick among the most viewed versions, which then
         becomes the peer's preference.
+
+        This is the single-node API.  `walk` inlines the same pick, and
+        the tests hold it to a walk built on this method.
         """
         nodes = self._node_versions
         if not 0 < node < len(nodes):
@@ -277,6 +280,9 @@ class PeerPopulation:
 
         With no viewers anywhere on the node the ratio is undefined, so the
         pick falls back to uniform over all versions.
+
+        This is the single-node API.  `walk` inlines the same re-pick, and
+        the tests hold it to a walk built on this method.
         """
         nodes = self._node_versions
         if not 0 < node < len(nodes):
@@ -304,6 +310,73 @@ class PeerPopulation:
             else:
                 index.move(node, old, j)
         return versions[j - 1]
+
+    def walk(
+        self, peer: int, rng: random.Random, literal: bool = False
+    ) -> tuple[list[NodeVersion], int]:
+        """Walk from the root to a leaf as `peer`; return the directory
+        versions finally occupied at each position, the root's included,
+        and the sum of their out-degrees.
+
+        At each node the peer views as `viewing` does, takes the quality
+        test with one `rng.random()` draw and, on failure, re-picks as
+        `select` does, with the same draws and index writes; it then moves
+        to a uniformly picked child.  With `literal` the degree sum counts
+        every version as first viewed instead, before any re-pick.
+        """
+        random_draw = rng.random
+        randbelow = rng._randbelow  # randrange(n) for an int n >= 1, same draw
+        node_versions = self._node_versions
+        prefs = self._prefs[peer]
+        index = self.index
+        counts_of = index._counts
+        # the index's node-indexed lists grow in place, so these stay live
+        totals = index._totals
+        leaders = index._leader
+        increment = index.increment
+        move = index.move
+        path = []
+        append = path.append
+        degree = viewed_degree = 0
+        node = 1
+        while True:
+            versions = node_versions[node]
+            j = prefs.get(node)
+            if j is None:  # the default view, which becomes the preference
+                j = leaders[node] if node < len(leaders) else 0
+                if j:  # the known leader: what the scan would pick, without a draw
+                    current = versions[j - 1]
+                else:
+                    current = index.popular(node, versions, rng)
+                    j = current.version
+                prefs[node] = j
+                increment(node, j)
+            else:
+                current = versions[j - 1]
+            if literal:
+                viewed_degree += len(current.children)
+            if random_draw() >= current.quality:  # the quality test also applies to files
+                # the peer's own view keeps the node's counts non-empty, so
+                # select's uniform fallback cannot arise here
+                r = randbelow(totals[node])
+                for k, c in counts_of[node].items():
+                    r -= c
+                    if r < 0:
+                        break
+                if k != j:
+                    prefs[node] = k
+                    move(node, j, k)
+                    current = versions[k - 1]
+            if not current.is_dir:
+                break
+            children = current.children
+            n = len(children)
+            append(current)
+            degree += n
+            if not n:
+                break
+            node = children[randbelow(n)] if n > 1 else children[0]
+        return path, viewed_degree if literal else degree
 
     def churn_reset(self, peer: int) -> None:
         """Replace `peer` with a fresh one: every preference (and so every

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from poptree.engine import Simulation, TraversalRecord, choose_update_index
+
 
 class ScriptedRandom:
     """random.Random stand-in replaying queued draws.
@@ -32,3 +34,66 @@ class ScriptedRandom:
 
     def exhausted(self) -> bool:
         return not self.randoms and not self.randranges
+
+
+# --- reference walk ------------------------------------------------------------
+#
+# The walk as it was before `PeerPopulation.walk` inlined the per-node picks:
+# every view goes through `PeerPopulation.viewing` and every re-pick through
+# `select`.  The differential test in test_engine.py holds the fused walk to
+# it draw for draw and write for write.
+
+
+def reference_step(sim: Simulation) -> TraversalRecord:
+    """`Simulation.step` with the reference walk."""
+    cfg = sim.config
+    rng = sim.rng
+    peer = rng._randbelow(cfg.n_peers)
+    if rng.random() < cfg.p_leave:
+        sim.peers.churn_reset(peer)
+    sim.t += 1
+    return reference_traverse(sim, peer)
+
+
+def reference_traverse(sim: Simulation, peer: int) -> TraversalRecord:
+    """`Simulation.traverse`, built on `viewing`/`select`."""
+    cfg = sim.config
+    rng = sim.rng
+    peers = sim.peers
+    literal = cfg.literal_traversal
+    viewed_degree = 0
+
+    def viewing(node):
+        nonlocal viewed_degree
+        version = peers.viewing(node, peer, rng)
+        viewed_degree += len(version.children)
+        return version
+
+    current = viewing(1)
+    if rng.random() >= current.quality:
+        current = peers.select(1, peer, rng)
+    path = [current]
+    degree = len(current.children)
+    while current.is_dir and current.children:
+        children = current.children
+        child = children[rng._randbelow(len(children))] if len(children) > 1 else children[0]
+        current = viewing(child)
+        if rng.random() >= current.quality:
+            current = peers.select(child, peer, rng)
+        if current.is_dir:
+            path.append(current)
+            degree += len(current.children)
+
+    if literal:
+        del path[0]
+        if not path:
+            return TraversalRecord(peer, [], 0.0, None)
+        degree = viewed_degree
+    mean_degree = degree / len(path)
+    target = path[choose_update_index(mean_degree, len(path), rng.random())]
+    updated = None
+    if rng.random() < cfg.p_update:
+        sim.apply_update(target, peer)
+        updated = target.node
+    return TraversalRecord(peer, path, mean_degree, updated)
+

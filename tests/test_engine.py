@@ -17,7 +17,7 @@ from poptree.engine import (
     run_single,
 )
 from poptree.metrics import MajorityTracker, Snapshot
-from support import ScriptedRandom
+from support import ScriptedRandom, reference_step
 
 # --- choose_update_index ----------------------------------------------------
 
@@ -233,25 +233,30 @@ def test_traverse_updates_childless_root():
 
 def test_quality_draws_below_q_never_deviate(monkeypatch):
     # Every quality test passes: the walk must follow the peer's own
-    # preferences exactly and never call select.
-    class KeepRandom(random.Random):
-        def random(self):
-            return 0.0
-
+    # preferences exactly and never re-pick.  With p_update=0 only a re-pick
+    # that changes the peer's version calls index.move, and nine other peers
+    # on a second version of every node make almost any re-pick a change.
     sim = Simulation(SimConfig(p_update=0.0))
-    sim.rng = KeepRandom(3)
-    select_calls = []
-    original = sim.peers.select
+    for node in (1, 2, 3, 4):
+        sim.store.add_version(node, 0.5, sim.store.version(node, 1).children, created_at=0)
+        for peer in range(1, 10):
+            sim.peers.set_preference(peer, node, 2)
+    # only random() is pinned: a subclass overriding it would also pin the
+    # integer draws, which Random then derives from random()
+    sim.rng = random.Random(3)
+    sim.rng.random = lambda: 0.0
+    move_calls = []
+    original = sim.index.move
     monkeypatch.setattr(
-        sim.peers,
-        "select",
-        lambda *args: select_calls.append(args) or original(*args),
+        sim.index,
+        "move",
+        lambda *args: move_calls.append(args) or original(*args),
     )
     for _ in range(100):
         record = sim.traverse(0)
         for v in record.path:
             assert sim.peers.preference(0, v.node) == v.version
-    assert select_calls == []
+    assert move_calls == []
 
 
 def test_traverse_record_invariants_over_a_run():
@@ -595,3 +600,48 @@ def test_index_stays_consistent_over_engine_steps(n_peers, p_leave, p_update, li
     for _ in range(steps):
         sim.step()
         assert_index_matches_preferences(sim)
+
+
+def walk_state(sim):
+    """Everything a step writes: preferences and index in dict order, the
+    store, the counters and the RNG."""
+    index = sim.index
+    return (
+        [list(prefs.items()) for prefs in sim.peers._prefs],
+        [(node, list(counts.items())) for node, counts in index._counts.items()],
+        index._leader,
+        index._bound,
+        index._totals,
+        index._crossings,
+        index.viewed_node_count,
+        sim.store._versions,
+        sim.t,
+        sim.updates_performed,
+        sim.rng.getstate(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_peers=st.integers(1, 6),
+    p_leave=st.sampled_from([0.0, 0.5, 1.0]),
+    p_update=st.floats(0.0, 1.0),
+    literal=st.booleans(),
+    seed=st.integers(0, 2**32),
+    steps=st.integers(1, 200),
+)
+def test_fused_walk_matches_the_reference_walk(n_peers, p_leave, p_update, literal, seed, steps):
+    # PeerPopulation.walk against the walk built on viewing/select
+    config = SimConfig(
+        n_peers=n_peers, p_leave=p_leave, p_update=p_update, literal_traversal=literal, seed=seed
+    )
+    fused, reference = Simulation(config), Simulation(config)
+    for _ in range(steps):
+        record, expected = fused.step(), reference_step(reference)
+        assert record.peer == expected.peer
+        assert [(v.node, v.version) for v in record.path] == [
+            (v.node, v.version) for v in expected.path
+        ]
+        assert record.mean_degree == expected.mean_degree
+        assert record.updated == expected.updated
+        assert walk_state(fused) == walk_state(reference)

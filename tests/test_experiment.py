@@ -78,6 +78,20 @@ def test_spec_from_dict_rejects_a_non_bool_emit_dot(emit_dot):
         spec_from_dict({"emit_dot": emit_dot})
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"sweep": {"values": [10, 20]}}, "sweep is missing key.*'param'"),
+        ({"sweep": {"param": "n_peers"}}, "sweep is missing key.*'values'"),
+        ({"sweep": {"param": 3, "values": [1]}}, "sweep param must be a string, got 3"),
+        ({"out_dir": 3}, "out_dir must be a string, got 3"),
+    ],
+)
+def test_spec_from_dict_names_a_missing_or_mistyped_key(data, message):
+    with pytest.raises(ValueError, match=message):
+        spec_from_dict(data)
+
+
 @pytest.mark.parametrize("data", [[], {"config": [1, 2]}, {"sweep": ["n_peers", [10]]}])
 def test_spec_from_dict_rejects_non_objects(data):
     with pytest.raises(ValueError, match="JSON object"):

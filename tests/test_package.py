@@ -56,3 +56,8 @@ def test_benchmark_worker_runs_a_tiny_experiment(tmp_path, mode):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["steps"] == 300
+    if mode == "plain":
+        # one clock mark per 32 Simulation.step calls and one per main-tree
+        # extraction (t=0, 100, 200, 300): steps_per_s is cut at these marks,
+        # so a run that stops stepping through Simulation.step fails here
+        assert len(result["marks_s"]) == 300 // 32 + 4
