@@ -125,7 +125,10 @@ class DirectoryStore:
         self, node: int, quality: float, children, created_at: int
     ) -> NodeVersion:
         """Publish a further version of an existing node (same kind)."""
-        versions = self.versions_of(node)
+        nodes = self._versions
+        if not 1 <= node < len(nodes):
+            raise KeyError(f"unknown node {node}")
+        versions = nodes[node]
         fresh = NodeVersion(
             node, len(versions) + 1, quality, versions[0].is_dir, children, created_at
         )

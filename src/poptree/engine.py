@@ -11,10 +11,12 @@ dropped or a brand-new child node attached.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import random
 from dataclasses import dataclass
+from math import expm1, log, log1p
 
 from .directory import (
     DirectoryStore,
@@ -134,21 +136,22 @@ def choose_update_index(mean_degree: float, k: int, p: float) -> int:
     if k == 1:
         return 0
     if abs(mean_degree - 1.0) < _DEGREE_EPS:
-        return min(int(p * k), k - 1)
+        c = int(p * k)
+        return c if c < k else k - 1
     if mean_degree == 0.0:
         raise ValueError("mean_degree 0 only arises for single-entry paths")
-    log_d = math.log(mean_degree)
+    log_d = log(mean_degree)
     exponent = k * log_d
     if exponent <= 700.0:  # d**k still representable in a double
-        x = math.log1p(math.expm1(exponent) * p)
+        x = log1p(expm1(exponent) * p)
     elif p == 0.0:
         return 0
     else:  # d**k overflows; the +1 inside the log is negligible
-        x = exponent + math.log(p)
+        x = exponent + log(p)
     c = int(x / log_d)
     if c < 0:
         return 0
-    return min(c, k - 1)
+    return c if c < k else k - 1
 
 
 class Simulation:
@@ -189,7 +192,12 @@ class Simulation:
         then walks immediately)."""
         cfg = self.config
         rng = self.rng
-        peer = rng._randbelow(cfg.n_peers)  # randrange(n_peers), same draw
+        # randrange(n_peers), same draw: the body of Random._randbelow
+        n = cfg.n_peers
+        bits = n.bit_length()
+        peer = rng.getrandbits(bits)
+        while peer >= n:
+            peer = rng.getrandbits(bits)
         if rng.random() < cfg.p_leave:
             self.peers.churn_reset(peer)
         self.t += 1
@@ -284,39 +292,49 @@ def run_single(
 
     Metric extraction draws from its own RNG stream, so the trajectory is
     a function of the config alone, never of how often it is observed.
+
+    The cyclic garbage collector is paused for the realization and then
+    restored to its previous state.  A realization creates no reference
+    cycles, so the collector would only re-scan a heap that keeps growing.
     """
     check_snapshot_interval(snapshot_interval)
-    sim = Simulation(config, realization)
-    metrics_rng = random.Random(
-        derive_seed(config.seed, f"realization-{realization}/metrics")
-    )
-    tracker = _metrics.MajorityTracker()
-    tracker.observe(sim.store, sim.index, 0)  # initial registrations can cross at N == 1
-    tree = main_tree(sim.store, sim.index, metrics_rng)
-    snapshots = [_metrics.snapshot(sim.store, sim.index, 0, metrics_rng, tree=tree)]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulation(config, realization)
+        metrics_rng = random.Random(
+            derive_seed(config.seed, f"realization-{realization}/metrics")
+        )
+        tracker = _metrics.MajorityTracker()
+        tracker.observe(sim.store, sim.index, 0)  # initial registrations can cross at N == 1
+        tree = main_tree(sim.store, sim.index, metrics_rng)
+        snapshots = [_metrics.snapshot(sim.store, sim.index, 0, metrics_rng, tree=tree)]
 
-    t_max = config.t_max
-    step = sim.step
-    observe = tracker.observe
-    store = sim.store
-    index = sim.index
-    while sim.t < t_max:
-        step()
-        t = sim.t
-        if index._crossings:  # events keep the step they crossed at
-            observe(store, index, t)
-        if t == t_max or t % snapshot_interval == 0:
-            tree = main_tree(store, index, metrics_rng)
-            snapshots.append(_metrics.snapshot(store, index, t, metrics_rng, tree=tree))
+        t_max = config.t_max
+        step = sim.step
+        observe = tracker.observe
+        store = sim.store
+        index = sim.index
+        while sim.t < t_max:
+            step()
+            t = sim.t
+            if index._crossings:  # events keep the step they crossed at
+                observe(store, index, t)
+            if t == t_max or t % snapshot_interval == 0:
+                tree = main_tree(store, index, metrics_rng)
+                snapshots.append(_metrics.snapshot(store, index, t, metrics_rng, tree=tree))
 
-    return _metrics.MetricsSeries(
-        snapshots=snapshots,
-        degree_histogram=_metrics.degree_histogram(store, index, metrics_rng),
-        viewers_histogram=_metrics.viewers_histogram(index),
-        viewers_by_quality=_metrics.viewers_by_quality(store, index),
-        majority_events=tracker.events,
-        final_main_tree=tree,
-    )
+        return _metrics.MetricsSeries(
+            snapshots=snapshots,
+            degree_histogram=_metrics.degree_histogram(store, index, metrics_rng),
+            viewers_histogram=_metrics.viewers_histogram(index),
+            viewers_by_quality=_metrics.viewers_by_quality(store, index),
+            majority_events=tracker.events,
+            final_main_tree=tree,
+        )
+    finally:
+        if collecting:
+            gc.enable()
 
 
 @dataclass

@@ -57,6 +57,9 @@ class ExperimentSpec:
                 raise ValueError("sweep needs at least one value")
             param = normalize_param(param)
             values = tuple(parse_param_value(param, value) for value in values)
+            for i, value in enumerate(values):
+                if value in values[:i]:  # its run would overwrite the first's outputs
+                    raise ValueError(f"sweep value {value!r} for {param} is repeated")
             object.__setattr__(self, "sweep", (param, values))
         self.configs()  # out-of-domain sweep values fail here, up front
 

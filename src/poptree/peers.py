@@ -323,9 +323,13 @@ class PeerPopulation:
         `select` does, with the same draws and index writes; it then moves
         to a uniformly picked child.  With `literal` the degree sum counts
         every version as first viewed instead, before any re-pick.
+
+        Its integer draws inline the body of `Random._randbelow`: for an int
+        n >= 1, `getrandbits(n.bit_length())` until the value is below n is
+        the draw `randrange(n)` makes.
         """
         random_draw = rng.random
-        randbelow = rng._randbelow  # randrange(n) for an int n >= 1, same draw
+        getrandbits = rng.getrandbits
         node_versions = self._node_versions
         prefs = self._prefs[peer]
         index = self.index
@@ -358,7 +362,11 @@ class PeerPopulation:
             if random_draw() >= current.quality:  # the quality test also applies to files
                 # the peer's own view keeps the node's counts non-empty, so
                 # select's uniform fallback cannot arise here
-                r = randbelow(totals[node])
+                n = totals[node]
+                bits = n.bit_length()
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
                 for k, c in counts_of[node].items():
                     r -= c
                     if r < 0:
@@ -373,9 +381,16 @@ class PeerPopulation:
             n = len(children)
             append(current)
             degree += n
-            if not n:
+            if n > 1:
+                bits = n.bit_length()
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+                node = children[r]
+            elif n:
+                node = children[0]
+            else:
                 break
-            node = children[randbelow(n)] if n > 1 else children[0]
         return path, viewed_degree if literal else degree
 
     def churn_reset(self, peer: int) -> None:

@@ -11,7 +11,9 @@ class ScriptedRandom:
     random() pops from `randoms`, randrange(n) pops from `randranges`
     (validating the scripted value fits the requested range).  _randbelow(n),
     which the simulation calls for randrange(n) draws, pops from the same
-    queue.  Running out of scripted values fails the test loudly.
+    queue, and so does getrandbits(k), whose rejection loop the simulation
+    inlines for its per-step draws: a scripted value the loop rejects makes
+    it pop again.  Running out of scripted values fails the test loudly.
     """
 
     def __init__(self, randoms=(), randranges=()):
@@ -32,16 +34,23 @@ class ScriptedRandom:
 
     _randbelow = randrange
 
+    def getrandbits(self, k: int) -> int:
+        if not self.randranges:
+            raise AssertionError("test consumed more getrandbits() draws than scripted")
+        value = self.randranges.pop(0)
+        assert 0 <= value < 2**k, f"scripted getrandbits value {value} out of range(2**{k})"
+        return value
+
     def exhausted(self) -> bool:
         return not self.randoms and not self.randranges
 
 
 # --- reference walk ------------------------------------------------------------
 #
-# The walk as it was before `PeerPopulation.walk` inlined the per-node picks:
-# every view goes through `PeerPopulation.viewing` and every re-pick through
-# `select`.  The differential test in test_engine.py holds the fused walk to
-# it draw for draw and write for write.
+# The step as it was before its helper calls were inlined: every integer
+# draw is `Random._randbelow`, every view goes through `PeerPopulation.viewing`
+# and every re-pick through `select`.  The differential tests in test_engine.py
+# hold the simulation to it draw for draw and write for write.
 
 
 def reference_step(sim: Simulation) -> TraversalRecord:

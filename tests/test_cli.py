@@ -58,6 +58,21 @@ def test_usage_errors_exit_with_a_message(argv, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sweep", "n_peers", "10,10"], "sweep value 10 for n_peers is repeated"),
+        (["--sweep", "p_update", "0.5,0.50"], "sweep value 0.5 for p_update is repeated"),
+    ],
+)
+def test_a_repeated_sweep_value_is_a_usage_error(argv, message, capsys):
+    # its run would overwrite the first run's output directory
+    with pytest.raises(SystemExit) as excinfo:
+        parse_config(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_file_round_trip(tmp_path):
     spec = ExperimentSpec(
         base=SimConfig(n_peers=10, t_max=500, realizations=2, seed=9),

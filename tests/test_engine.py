@@ -1,5 +1,6 @@
 """Engine: update-position staircase, traversal walk, updates, runs."""
 
+import gc
 import math
 import random
 from dataclasses import replace
@@ -474,6 +475,66 @@ def test_run_single_rejects_non_int_interval(interval):
         run_single(SimConfig(t_max=10, realizations=1), snapshot_interval=interval)
 
 
+@pytest.fixture
+def collector_state():
+    """Restore the cyclic collector's state after the test."""
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_run_single_restores_the_collector_state(collector_state, monkeypatch, collecting):
+    (gc.enable if collecting else gc.disable)()
+    seen = []
+    original = Simulation.step
+
+    def step(sim):
+        seen.append(gc.isenabled())
+        return original(sim)
+
+    monkeypatch.setattr(Simulation, "step", step)
+    run_single(SimConfig(n_peers=10, t_max=50, realizations=1))
+    assert seen == [False] * 50  # paused for the whole walk
+    assert gc.isenabled() is collecting
+
+
+def test_run_single_restores_the_collector_when_the_run_raises(collector_state, monkeypatch):
+    gc.enable()
+    original = Simulation.step
+
+    def step(sim):
+        if sim.t == 20:
+            raise RuntimeError("step failed")
+        return original(sim)
+
+    monkeypatch.setattr(Simulation, "step", step)
+    with pytest.raises(RuntimeError, match="step failed"):
+        run_single(SimConfig(n_peers=10, t_max=50, realizations=1))
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimConfig(n_peers=20, t_max=3000, realizations=1),
+        SimConfig(n_peers=20, t_max=3000, realizations=1, literal_traversal=True),
+        SimConfig(n_peers=200, t_max=3000, realizations=1, p_leave=0.9),
+    ],
+    ids=["default", "literal", "churn"],
+)
+def test_a_paused_realization_leaves_no_cyclic_garbage(collector_state, config):
+    # run_single pauses the collector on the grounds that a realization
+    # creates no reference cycles; whatever it left would be found here
+    gc.enable()
+    gc.collect()
+    run_single(config)
+    assert gc.collect() == 0
+
+
 def test_namespace_resolution_tracks_viewer_counts():
     # resolve() must reflect live popularity after real dynamics, churn included
     sim = Simulation(SimConfig(n_peers=10, p_leave=0.2, seed=5))
@@ -635,6 +696,23 @@ def test_fused_walk_matches_the_reference_walk(n_peers, p_leave, p_update, liter
     config = SimConfig(
         n_peers=n_peers, p_leave=p_leave, p_update=p_update, literal_traversal=literal, seed=seed
     )
+    assert_steps_match_the_reference(config, steps)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SimConfig(n_peers=100, seed=3), SimConfig(n_peers=1000, p_leave=0.9, seed=3)],
+    ids=["control", "churn_crowd"],
+)
+def test_benchmark_sized_runs_match_the_reference_step(config):
+    # the inlined getrandbits loops see bounds up to n_peers and the
+    # largest viewer totals, not only the few peers of the property test
+    assert_steps_match_the_reference(config, 2000)
+
+
+def assert_steps_match_the_reference(config, steps):
+    """Step twin simulations through `Simulation.step` and `reference_step`
+    and compare what each step returned and wrote."""
     fused, reference = Simulation(config), Simulation(config)
     for _ in range(steps):
         record, expected = fused.step(), reference_step(reference)

@@ -92,6 +92,20 @@ def test_spec_from_dict_names_a_missing_or_mistyped_key(data, message):
         spec_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "param, values, repeated",
+    [
+        ("n_peers", [10, "10"], "10"),
+        ("p_update", [0.5, 0.2, "0.50"], "0.5"),
+        ("steps", [5, 5], "5"),
+    ],
+)
+def test_spec_from_dict_rejects_a_repeated_sweep_value(param, values, repeated):
+    # both runs would write the same output directory
+    with pytest.raises(ValueError, match=f"sweep value {repeated} for .* is repeated"):
+        spec_from_dict({"sweep": {"param": param, "values": values}})
+
+
 @pytest.mark.parametrize("data", [[], {"config": [1, 2]}, {"sweep": ["n_peers", [10]]}])
 def test_spec_from_dict_rejects_non_objects(data):
     with pytest.raises(ValueError, match="JSON object"):
