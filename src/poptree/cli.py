@@ -16,13 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiment import (
-    ExperimentSpec,
-    normalize_param,
-    parse_param_value,
-    run_experiment,
-    spec_from_dict,
-)
+from .experiment import ExperimentSpec, run_experiment, spec_from_dict
 
 _CONFIG_FLAGS = {
     "peers": "n_peers",
@@ -96,16 +90,7 @@ def parse_config(argv: list[str] | None = None) -> ExperimentSpec:
     sweep = spec.sweep
     if args.sweep is not None:
         raw_param, raw_values = args.sweep
-        try:
-            param = normalize_param(raw_param)
-            values = tuple(
-                parse_param_value(param, v) for v in raw_values.split(",") if v.strip()
-            )
-            if not values:
-                raise ValueError("sweep needs at least one value")
-            sweep = (param, values)
-        except ValueError as exc:
-            parser.error(str(exc))
+        sweep = (raw_param, tuple(v for v in raw_values.split(",") if v.strip()))
 
     try:
         spec = ExperimentSpec(

@@ -108,9 +108,6 @@ class DirectoryStore:
             raise KeyError(f"node {node} has no version {version}")
         return versions[version - 1]
 
-    def version_count(self, node: int) -> int:
-        return len(self.versions_of(node))
-
     def add_node(
         self, is_dir: bool, quality: float, created_at: int, children=()
     ) -> NodeVersion:
@@ -135,10 +132,6 @@ class DirectoryStore:
         versions.append(fresh)
         self._total_versions += 1
         return fresh
-
-    def iter_versions(self) -> Iterator[NodeVersion]:
-        for versions in self._versions[1:]:
-            yield from versions
 
 
 def init_control_tree(store: DirectoryStore) -> None:
@@ -187,28 +180,10 @@ class MainTree:
             return 0.0
         return sum(v.quality for v in self.nodes.values()) / len(self.nodes)
 
-    def versions(self):
-        return self.nodes.values()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for node, version in self.nodes.items():
             for child in version.children:
                 yield node, child
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "node": v.node,
-                    "version": v.version,
-                    "quality": v.quality,
-                    "kind": "directory" if v.is_dir else "file",
-                    "children": list(v.children),
-                    "created_at": v.created_at,
-                }
-                for v in self.nodes.values()
-            ]
-        }
 
     def __eq__(self, other):
         if not isinstance(other, MainTree):
@@ -237,23 +212,3 @@ def main_tree(store: DirectoryStore, index, rng: random.Random) -> MainTree:
         nodes[node] = chosen
         queue.extend(chosen.children)
     return MainTree(nodes)
-
-
-def serialize_store(store: DirectoryStore) -> dict:
-    """Structured dump of every version, for snapshots and integrity checks."""
-    return {
-        "node_count": store.node_count,
-        "versions": {
-            str(node): [
-                {
-                    "version": v.version,
-                    "quality": v.quality,
-                    "kind": "directory" if v.is_dir else "file",
-                    "children": list(v.children),
-                    "created_at": v.created_at,
-                }
-                for v in store.versions_of(node)
-            ]
-            for node in range(1, store.node_count + 1)
-        },
-    }

@@ -25,7 +25,6 @@ from .directory import (
     main_tree,
     sample_quality,
 )
-from .namespace import Namespace
 from .peers import PeerPopulation
 from . import metrics as _metrics
 
@@ -164,12 +163,7 @@ class Simulation:
         self.store = DirectoryStore()
         # a version holds a majority once strictly more than half the peers view it
         self.peers = PeerPopulation(
-            config.n_peers,
-            self.store,
-            majority_count=config.n_peers // 2 + 1,
-            namespace_rng=random.Random(
-                derive_seed(config.seed, f"realization-{realization}/namespace")
-            ),
+            config.n_peers, self.store, majority_count=config.n_peers // 2 + 1
         )
         init_control_tree(self.store)
         for node in (1, 2, 3, 4):
@@ -180,11 +174,6 @@ class Simulation:
     @property
     def index(self):
         return self.peers.index
-
-    @property
-    def namespace(self) -> Namespace:
-        """The namespace as the peers' current preferences register it."""
-        return self.peers.namespace
 
     def step(self) -> TraversalRecord:
         """Advance time by one traversal of a uniformly chosen peer, who is

@@ -53,9 +53,9 @@ class ExperimentSpec:
         check_snapshot_interval(self.snapshot_interval)
         if self.sweep is not None:
             param, values = self.sweep
+            param = normalize_param(param)
             if not values:
                 raise ValueError("sweep needs at least one value")
-            param = normalize_param(param)
             values = tuple(parse_param_value(param, value) for value in values)
             for i, value in enumerate(values):
                 if value in values[:i]:  # its run would overwrite the first's outputs

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 Key = bytes
 PeerId = int
@@ -116,3 +117,23 @@ class Namespace:
         for record in registrations:
             counts[record] = counts.get(record, 0) + 1
         return sorted(counts.items(), key=lambda item: -item[1])
+
+
+def view(
+    preferences: Iterable[Mapping[int, int]], rng: random.Random | None = None
+) -> Namespace:
+    """The namespace that viewing preferences register.
+
+    `preferences` holds one node -> version mapping per peer, in peer-id
+    order.  Each peer stores, under each node's key, the record of the
+    version it views: named "node-<i> v<j>", with the digest of
+    "node-<i>/v<j>" as its content reference.  Limited `get`/`resolve`
+    calls on the result sample with `rng`.
+    """
+    namespace = Namespace(rng)
+    for peer, prefs in enumerate(preferences):
+        for node, version in prefs.items():
+            name = node_name(node)
+            record = ValueRecord(f"{name} v{version}", digest(f"{name}/v{version}"))
+            namespace.put(peer, namespace.key_for(name), record)
+    return namespace

@@ -2,11 +2,10 @@
 
 A peer's viewing preference for a node doubles as its registration in
 the namespace.  Only the preferences and the viewer counts derived from
-them are stored; the namespace's view of "who is viewing what" is built
-from the preferences when asked for, so it always agrees with the
-popularity counts the simulation reads.  The population size is fixed; a
-churned peer keeps its slot but restarts with a blank slate, as if
-replaced by a newcomer.
+them are stored; `poptree.namespace.view` builds the namespace those
+preferences register, so it always agrees with the popularity counts the
+simulation reads.  The population size is fixed; a churned peer keeps its
+slot but restarts with a blank slate, as if replaced by a newcomer.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import random
 
 from .directory import DirectoryStore, NodeVersion, pick_popular
-from .namespace import Namespace, ValueRecord, digest, node_name
 
 _EMPTY: dict[int, int] = {}
 _GROW_CHUNK = 1024  # node slots the index lists gain at a time
@@ -59,13 +57,6 @@ class PopularityIndex:
         """Viewer counts for `node`, versions with at least one viewer only.
         The mapping is live; callers must not mutate it."""
         return self._counts.get(node, _EMPTY)
-
-    def count(self, node: int, version: int) -> int:
-        return self._counts.get(node, _EMPTY).get(version, 0)
-
-    def total(self, node: int) -> int:
-        totals = self._totals
-        return totals[node] if 0 <= node < len(totals) else 0
 
     @property
     def viewed_node_count(self) -> int:
@@ -195,7 +186,6 @@ class PeerPopulation:
         n_peers: int,
         store: DirectoryStore,
         majority_count: int | None = None,
-        namespace_rng: random.Random | None = None,
     ):
         if n_peers < 1:
             raise ValueError("population needs at least one peer")
@@ -203,27 +193,8 @@ class PeerPopulation:
         self.store = store
         self.index = PopularityIndex(majority_count)
         self._prefs: list[dict[int, int]] = [{} for _ in range(n_peers)]
-        self._namespace_rng = namespace_rng
         # the store's per-node version lists, read directly by the walk
         self._node_versions = store._versions
-
-    @property
-    def namespace(self) -> Namespace:
-        """The namespace as the current preferences register it: one record
-        per (node, version) viewed, stored under the node's key by every
-        peer viewing it, peers in id order.
-
-        The view is built on each access and is not updated afterwards.
-        Its limited `get`/`resolve` calls sample with `namespace_rng`, or
-        with an unseeded RNG when none was given.
-        """
-        view = Namespace(self._namespace_rng)
-        for peer, prefs in enumerate(self._prefs):
-            for node, version in prefs.items():
-                name = node_name(node)
-                record = ValueRecord(f"{name} v{version}", digest(f"{name}/v{version}"))
-                view.put(peer, view.key_for(name), record)
-        return view
 
     def preference(self, peer: int, node: int) -> int | None:
         return self._prefs[peer].get(node)

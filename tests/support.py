@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from poptree.engine import Simulation, TraversalRecord, choose_update_index
+from poptree.namespace import Namespace, view
+from poptree.peers import PeerPopulation
 
 
 class ScriptedRandom:
@@ -51,6 +53,11 @@ class ScriptedRandom:
 # draw is `Random._randbelow`, every view goes through `PeerPopulation.viewing`
 # and every re-pick through `select`.  The differential tests in test_engine.py
 # hold the simulation to it draw for draw and write for write.
+
+
+def namespace_of(peers: PeerPopulation, rng=None) -> Namespace:
+    """The namespace that `peers`' current preferences register."""
+    return view([peers.preferences_of(p) for p in range(peers.n_peers)], rng)
 
 
 def reference_step(sim: Simulation) -> TraversalRecord:

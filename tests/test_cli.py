@@ -73,6 +73,22 @@ def test_a_repeated_sweep_value_is_a_usage_error(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sweep", "bogus", ","], "unknown sweep parameter 'bogus'"),
+        (["--sweep", "n_peers", ","], "sweep needs at least one value"),
+        (["--sweep", "n_peers", "10,1.5"], "sweep value for n_peers must be an integer, got '1.5'"),
+    ],
+)
+def test_a_sweep_usage_error_names_its_first_fault(argv, message, capsys):
+    # the param is checked before the values, the values one by one
+    with pytest.raises(SystemExit) as excinfo:
+        parse_config(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_config_file_round_trip(tmp_path):
     spec = ExperimentSpec(
         base=SimConfig(n_peers=10, t_max=500, realizations=2, seed=9),

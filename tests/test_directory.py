@@ -13,7 +13,6 @@ from poptree.directory import (
     init_control_tree,
     main_tree,
     sample_quality,
-    serialize_store,
 )
 from support import ScriptedRandom
 
@@ -103,12 +102,13 @@ def test_init_control_tree_layout():
     store = DirectoryStore()
     init_control_tree(store)
     assert store.node_count == 4
-    assert [store.version_count(i) for i in (1, 2, 3, 4)] == [1, 1, 1, 1]
+    assert [len(store.versions_of(i)) for i in (1, 2, 3, 4)] == [1, 1, 1, 1]
     assert store.version(1, 1).children == (2, 3, 4)
     for node in (2, 3, 4):
         assert store.version(node, 1).children == ()
-    assert all(v.quality == 0.5 for v in store.iter_versions())
-    assert all(v.is_dir for v in store.iter_versions())
+    versions = [v for node in (1, 2, 3, 4) for v in store.versions_of(node)]
+    assert all(v.quality == 0.5 for v in versions)
+    assert all(v.is_dir for v in versions)
 
 
 def test_init_control_tree_requires_empty_store():
@@ -132,7 +132,7 @@ def test_add_version_extends_one_node():
     store.add_node(True, 0.4, created_at=0)
     v2 = store.add_version(1, 0.8, (2,), created_at=5)
     assert (v2.node, v2.version) == (1, 2)
-    assert store.version_count(1) == 2
+    assert len(store.versions_of(1)) == 2
     assert store.version(1, 2) is v2
     assert store.total_versions == 2
 
@@ -179,7 +179,7 @@ def test_main_tree_of_initial_state_is_the_four_versions():
     tree = main_tree(store, index, random.Random(0))
     assert tree.size == 4
     assert sorted(tree.nodes) == [1, 2, 3, 4]
-    assert all(v.version == 1 for v in tree.versions())
+    assert all(v.version == 1 for v in tree.nodes.values())
     assert tree.mean_quality == 0.5
 
 
@@ -247,17 +247,12 @@ def test_main_tree_of_empty_store():
     assert tree.mean_quality == 0.0
 
 
-def test_main_tree_serialization_round_trip():
-    store, index = initial_setup()
-    tree = main_tree(store, index, random.Random(1))
-    data = tree.to_dict()
-    recomputed = sum(entry["quality"] for entry in data["nodes"]) / len(data["nodes"])
-    assert recomputed == tree.mean_quality
-
-
-def test_serialize_store_is_stable_for_existing_versions():
-    store, _ = initial_setup()
-    before = serialize_store(store)["versions"]["1"]
-    store.add_version(1, 0.7, (2, 3), created_at=9)
-    after = serialize_store(store)["versions"]["1"]
-    assert after[: len(before)] == before
+def test_main_tree_mean_quality_averages_its_nodes():
+    store = DirectoryStore()
+    store.add_node(True, 0.3, created_at=0, children=(2, 3))
+    store.add_node(True, 0.6, created_at=0)
+    store.add_node(False, 0.9, created_at=0)
+    store.add_node(False, 0.1, created_at=0)  # never linked
+    tree = main_tree(store, FakeIndex(), ScriptedRandom())
+    assert [v.quality for v in tree.nodes.values()] == [0.3, 0.6, 0.9]
+    assert tree.mean_quality == pytest.approx(0.6)

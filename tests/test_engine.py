@@ -18,7 +18,7 @@ from poptree.engine import (
     run_single,
 )
 from poptree.metrics import MajorityTracker, Snapshot
-from support import ScriptedRandom, reference_step
+from support import ScriptedRandom, namespace_of, reference_step
 
 # --- choose_update_index ----------------------------------------------------
 
@@ -183,8 +183,8 @@ def test_initial_state():
     assert sim.store.node_count == 4
     assert sim.peers.preferences_of(0) == {1: 1, 2: 1, 3: 1, 4: 1}
     for node in (1, 2, 3, 4):
-        assert sim.index.count(node, 1) == 1
-    resolved = sim.namespace.resolve("node-1")
+        assert sim.index.counts_for(node) == {1: 1}
+    resolved = namespace_of(sim.peers).resolve("node-1")
     assert len(resolved) == 1 and resolved[0][1] == 1
     assert sim.t == 0
 
@@ -316,8 +316,8 @@ def test_update_delete_branch():
     assert sim.store.node_count == 4  # delete never removes nodes
     assert sim.updates_performed == 1
     assert sim.peers.preference(1, 1) == 2
-    assert sim.index.count(1, 2) == 1
-    assert sim.index.count(1, 1) == 1  # peer 0 still views the old root
+    # peer 0 still views the old root
+    assert sim.index.counts_for(1) == {1: 1, 2: 1}
 
 
 def test_update_add_directory_branch():
@@ -331,7 +331,7 @@ def test_update_add_directory_branch():
     # the updater is the first viewer of both creations
     assert sim.peers.preference(1, 1) == 2
     assert sim.peers.preference(1, 5) == 1
-    assert sim.index.count(5, 1) == 1
+    assert sim.index.counts_for(5) == {1: 1}
 
 
 def test_update_add_file_branch():
@@ -543,7 +543,7 @@ def test_namespace_resolution_tracks_viewer_counts():
     for node in (1, 2, 3, 4):
         resolved = {
             record.description: count
-            for record, count in sim.namespace.resolve(f"node-{node}")
+            for record, count in namespace_of(sim.peers).resolve(f"node-{node}")
         }
         expected = {
             f"node-{node} v{j}": count
@@ -552,15 +552,18 @@ def test_namespace_resolution_tracks_viewer_counts():
         assert resolved == expected
 
 
-def test_limited_resolution_is_a_function_of_the_config():
-    def sampled(seed):
-        sim = Simulation(SimConfig(n_peers=50, seed=seed))
-        for _ in range(500):
-            sim.step()
-        namespace = sim.namespace
+def test_limited_resolution_is_a_function_of_the_preferences_and_the_rng():
+    sim = Simulation(SimConfig(n_peers=50, seed=3))
+    for _ in range(500):
+        sim.step()
+
+    def sampled():
+        namespace = namespace_of(sim.peers, random.Random(11))
         return [namespace.resolve(f"node-{node}", limit=5) for node in (1, 2, 3, 4)]
 
-    assert sampled(3) == sampled(3)
+    first = sampled()
+    assert any(sum(count for _, count in resolved) == 5 for resolved in first)
+    assert sampled() == first
 
 
 def test_metrics_do_not_perturb_the_trajectory():
@@ -626,7 +629,7 @@ def assert_index_matches_preferences(sim):
     for node in range(1, sim.store.node_count + 1):
         counts = recounted.get(node, {})
         assert dict(index.counts_for(node)) == counts
-        assert index.total(node) == sum(counts.values())
+        assert index._totals[node] == sum(counts.values())
         leader, bound = index._leader[node], index._bound[node]
         if not counts:
             assert (leader, bound) == (0, 0)
@@ -661,6 +664,64 @@ def test_index_stays_consistent_over_engine_steps(n_peers, p_leave, p_update, li
     for _ in range(steps):
         sim.step()
         assert_index_matches_preferences(sim)
+
+
+def version_fields(store):
+    """Every stored version's fields, node by node, oldest first."""
+    return [
+        [(v.node, v.version, v.quality, v.is_dir, v.children, v.created_at) for v in versions]
+        for versions in store._versions[1:]
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_peers=st.integers(1, 6),
+    p_add=st.sampled_from([0.0, 0.5, 1.0]),
+    p_file=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32),
+    updates=st.lists(
+        st.tuples(st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 5)),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_update_sequences_outside_the_walk(n_peers, p_add, p_file, seed, updates):
+    # apply_update driven directly: each update targets a drawn version of
+    # a drawn directory node as a drawn peer
+    sim = Simulation(SimConfig(n_peers=n_peers, p_add=p_add, p_file=p_file, seed=seed))
+    store, peers = sim.store, sim.peers
+    for node_pick, version_pick, peer in updates:
+        directories = [
+            node for node in range(1, store.node_count + 1) if store.versions_of(node)[0].is_dir
+        ]
+        node = directories[node_pick % len(directories)]
+        versions = store.versions_of(node)
+        target = versions[version_pick % len(versions)]
+        peer %= n_peers
+        before = version_fields(store)
+        node_count = store.node_count
+
+        fresh = sim.apply_update(target, peer)
+
+        assert_index_matches_preferences(sim)
+        assert (fresh.node, fresh.is_dir) == (node, True)
+        assert fresh.version == len(store.versions_of(node)) == len(before[node - 1]) + 1
+        links = target.children
+        if store.node_count == node_count:  # one link dropped
+            assert any(
+                fresh.children == links[:i] + links[i + 1 :] for i in range(len(links))
+            )
+        else:  # one new node linked
+            child = store.node_count
+            assert store.node_count == node_count + 1
+            assert fresh.children == links + (child,)
+            assert len(store.versions_of(child)) == 1
+            assert peers.preference(peer, child) == 1
+        assert peers.preference(peer, node) == fresh.version
+        # published versions are immutable
+        after = version_fields(store)
+        assert [fields[: len(old)] for fields, old in zip(after, before)] == before
 
 
 def walk_state(sim):

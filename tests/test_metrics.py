@@ -208,10 +208,12 @@ def test_histograms_equal_a_recount_by_the_reference_scan():
             degree = len(pick_popular(store.versions_of(node), counts, reference_rng).children)
             degrees[degree] = degrees.get(degree, 0) + 1
     versions, viewers = [0] * 10, [0] * 10
-    for v in store.iter_versions():
-        bucket = min(int(v.quality * 10), 9)
-        versions[bucket] += 1
-        viewers[bucket] += index.count(v.node, v.version)
+    for node in range(1, store.node_count + 1):
+        counts = index.counts_for(node)
+        for v in store.versions_of(node):
+            bucket = min(int(v.quality * 10), 9)
+            versions[bucket] += 1
+            viewers[bucket] += counts.get(v.version, 0)
     assert reference_rng.getstate() != random.Random(5).getstate(), "no tie was drawn"
 
     rng = random.Random(5)
@@ -302,7 +304,6 @@ def test_final_tree_matches_final_snapshot():
     assert tree is not None
     assert tree.size == final.main_tree_size
     assert tree.mean_quality == final.main_tree_avg_quality
-    # round trip through the serialized form preserves the recorded average
-    data = tree.to_dict()
-    recomputed = sum(n["quality"] for n in data["nodes"]) / len(data["nodes"])
+    # a recount over the tree's versions gives the recorded average
+    recomputed = sum(v.quality for v in tree.nodes.values()) / tree.size
     assert recomputed == final.main_tree_avg_quality

@@ -61,3 +61,22 @@ def test_benchmark_worker_runs_a_tiny_experiment(tmp_path, mode):
         # extraction (t=0, 100, 200, 300): steps_per_s is cut at these marks,
         # so a run that stops stepping through Simulation.step fails here
         assert len(result["marks_s"]) == 300 // 32 + 4
+
+
+def test_a_run_does_not_load_the_namespace_model():
+    # the simulation core keeps no namespace bridge: the DHT model is built
+    # from the preferences by poptree.namespace.view, never by a run
+    script = (
+        "import sys\n"
+        "import poptree, poptree.cli\n"
+        "poptree.run_single(poptree.SimConfig(t_max=50, realizations=1))\n"
+        "assert 'poptree.namespace' not in sys.modules, sorted(sys.modules)\n"
+    )
+    src = Path(poptree.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n{script}"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

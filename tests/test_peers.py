@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from poptree.directory import DirectoryStore, pick_popular
 from poptree.namespace import node_name
 from poptree.peers import PeerPopulation, PopularityIndex
-from support import ScriptedRandom
+from support import ScriptedRandom, namespace_of
 
 
 def build_population(n_peers=10, versions=1, majority_count=None):
@@ -57,10 +57,10 @@ def test_viewing_default_is_uniform_over_most_popular():
 
 def test_viewing_single_version_registers_one_viewer():
     _, pop = build_population(versions=1)
-    assert pop.index.count(1, 1) == 0
+    assert pop.index.counts_for(1) == {}
     v = pop.viewing(1, 4, ScriptedRandom())
     assert v.version == 1
-    assert pop.index.count(1, 1) == 1
+    assert pop.index.counts_for(1) == {1: 1}
     assert pop.preference(4, 1) == 1
 
 
@@ -136,7 +136,7 @@ def test_churn_reset_clears_preferences_and_counts():
     pop.churn_reset(3)
     assert pop.preferences_of(3) == {}
     for node in range(1, 6):
-        assert pop.index.count(node, 1) == 0
+        assert pop.index.counts_for(node) == {}
     assert pop.index.viewed_node_count == 0
 
 
@@ -153,21 +153,21 @@ def test_churn_reset_decrements_shared_version():
     _, pop = build_population()
     pop.set_preference(0, 1, 1)
     pop.set_preference(1, 1, 1)
-    assert pop.index.count(1, 1) == 2
+    assert pop.index.counts_for(1) == {1: 2}
     pop.churn_reset(0)
-    assert pop.index.count(1, 1) == 1
+    assert pop.index.counts_for(1) == {1: 1}
 
 
 def test_churn_reset_removes_namespace_registrations():
     _, pop = build_population()
     pop.set_preference(0, 1, 1)
     pop.set_preference(1, 1, 1)
-    assert pop.namespace.resolve(node_name(1))[0][1] == 2
+    assert namespace_of(pop).resolve(node_name(1))[0][1] == 2
     pop.churn_reset(0)
-    resolved = pop.namespace.resolve(node_name(1))
+    resolved = namespace_of(pop).resolve(node_name(1))
     assert len(resolved) == 1 and resolved[0][1] == 1
     pop.churn_reset(1)
-    assert pop.namespace.resolve(node_name(1)) == []
+    assert namespace_of(pop).resolve(node_name(1)) == []
 
 
 def test_population_needs_at_least_one_peer():
@@ -188,6 +188,13 @@ def recompute_counts(pop):
     return counts
 
 
+def stored_total(index, node):
+    """The viewer total the index stores for `node`: 0 until its node-indexed
+    lists have grown to cover the node."""
+    totals = index._totals
+    return totals[node] if node < len(totals) else 0
+
+
 def assert_consistent(pop, store):
     recomputed = recompute_counts(pop)
     indexed = {
@@ -198,9 +205,10 @@ def assert_consistent(pop, store):
     assert indexed == recomputed
     for node, per_node in recomputed.items():
         assert sum(per_node.values()) <= pop.n_peers
-        assert pop.index.total(node) == sum(per_node.values())
+        assert stored_total(pop.index, node) == sum(per_node.values())
     assert pop.index.viewed_node_count == len(recomputed)
     # the namespace mirrors the preferences exactly
+    namespace = namespace_of(pop)
     for node in range(1, store.node_count + 1):
         expected = {
             f"{node_name(node)} v{version}": count
@@ -208,7 +216,7 @@ def assert_consistent(pop, store):
         }
         resolved = {
             record.description: count
-            for record, count in pop.namespace.resolve(node_name(node))
+            for record, count in namespace.resolve(node_name(node))
         }
         assert resolved == expected
 
@@ -252,7 +260,7 @@ def test_namespace_view_equals_recounted_preferences_after_set_and_churn():
         else:
             pop.set_preference(peer, rng.randrange(6) + 1, rng.randrange(4) + 1)
         if step % 300 == 0:
-            namespace = pop.namespace
+            namespace = namespace_of(pop)
             recounted = recompute_counts(pop)
             for node in range(1, 7):
                 resolved = {
@@ -268,10 +276,10 @@ def test_namespace_view_equals_recounted_preferences_after_set_and_churn():
 def test_namespace_view_is_a_snapshot():
     _, pop = build_population()
     pop.set_preference(0, 1, 1)
-    view = pop.namespace
+    view = namespace_of(pop)
     pop.churn_reset(0)
     assert view.resolve(node_name(1))[0][1] == 1
-    assert pop.namespace.resolve(node_name(1)) == []
+    assert namespace_of(pop).resolve(node_name(1)) == []
 
 
 # --- the leader kept by the popularity index --------------------------------
@@ -327,7 +335,7 @@ def test_one_of_two_tied_tops_loses_a_viewer():
     assert default_pick(pop, 1, ScriptedRandom()) == 1
     assert leader_of(pop, 1) == 1
     assert pop.viewing(1, 9, ScriptedRandom()).version == 1
-    assert pop.index.count(1, 1) == 3
+    assert pop.index.counts_for(1)[1] == 3
     pop.churn_reset(9)
     pop.churn_reset(0)  # 1 : 1 : 1, the runner-ups at the recorded bound
     assert leader_of(pop, 1) == 0
@@ -354,12 +362,12 @@ def test_last_viewer_leaves_and_the_node_is_viewed_again():
     for peer in range(3):
         pop.churn_reset(peer)
     assert leader_of(pop, 1) == 0
-    assert pop.index.total(1) == 0
+    assert pop.index._totals[1] == 0
     # no viewers: every version ties at zero and the pick is uniform
     assert pop.viewing(1, 1, ScriptedRandom(randranges=[2])).version == 3
     assert leader_of(pop, 1) == 3
     assert pop.viewing(1, 2, ScriptedRandom()).version == 3
-    assert pop.index.count(1, 3) == 2
+    assert pop.index.counts_for(1) == {3: 2}
 
 
 # --- moving a viewer in one call ----------------------------------------------
@@ -401,7 +409,7 @@ def test_move_takes_the_leader_into_a_tie_with_the_runner_up():
     assert moved._leader[1] == 1
     move_both(moved, twin, 1, 3)  # 2 : 2 : 2
     assert moved._leader[1] == 0
-    assert moved.total(1) == 6
+    assert moved._totals[1] == 6
 
 
 def test_move_lets_a_non_leader_overtake_the_leader():
@@ -438,7 +446,7 @@ def test_set_preference_moves_an_existing_viewer():
     seed_counts(pop, 1, {1: 2})
     pop.set_preference(0, 1, 2)
     assert pop.index.counts_for(1) == {1: 1, 2: 1}
-    assert pop.index.total(1) == 2
+    assert pop.index._totals[1] == 2
     assert pop.preference(0, 1) == 2
 
 
@@ -474,7 +482,7 @@ def assert_default_pick_matches_reference(pop, seed):
         reference = pick_popular(versions, pop.index.counts_for(node), reference_rng)
         assert fast is reference
         assert fast_rng.getstate() == reference_rng.getstate()
-        assert pop.index.total(node) == sum(recounted.get(node, {}).values())
+        assert stored_total(pop.index, node) == sum(recounted.get(node, {}).values())
 
 
 @settings(max_examples=200, deadline=None)
