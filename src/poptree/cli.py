@@ -3,6 +3,7 @@
     poptree                                   # control run, print a summary
     poptree --steps 20000 --seed 7 --out out/ # write series/histograms/majority
     poptree --sweep p_update 0.1,0.2,0.5,0.9 --out sweep/ --dot
+    poptree --jobs 1                          # realizations one after another
 
 Flags override values loaded with --config; defaults are the control
 parameters.
@@ -16,6 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .engine import check_jobs
 from .experiment import ExperimentSpec, run_experiment, spec_from_dict
 
 _CONFIG_FLAGS = {
@@ -58,6 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--dot", action="store_true", default=None, help="also write the final main tree as DOT"
     )
     parser.add_argument(
+        "--jobs",
+        type=_job_count,
+        help="processes that run a config's realizations (default: the available CPUs)",
+    )
+    parser.add_argument(
         "--literal-pseudocode",
         action="store_true",
         default=None,
@@ -66,8 +73,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+        check_jobs(jobs)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {text!r}") from None
+    return jobs
+
+
 def parse_config(argv: list[str] | None = None) -> ExperimentSpec:
     """Resolve CLI flags (and an optional config file) to an ExperimentSpec."""
+    return _parse(argv)[0]
+
+
+def _parse(argv: list[str] | None) -> tuple[ExperimentSpec, int | None]:
+    """The ExperimentSpec and the --jobs value (None when not given)."""
     parser = build_parser()
     args = parser.parse_args(argv)
 
@@ -104,12 +125,12 @@ def parse_config(argv: list[str] | None = None) -> ExperimentSpec:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    return spec
+    return spec, args.jobs
 
 
 def main(argv: list[str] | None = None) -> int:
-    spec = parse_config(argv)
-    bundles = run_experiment(spec)
+    spec, jobs = _parse(argv)
+    bundles = run_experiment(spec, jobs)
     for bundle in bundles:
         label = "run" if bundle.sweep_value is None else (
             f"{spec.sweep[0]}={bundle.sweep_value}"  # type: ignore[index]

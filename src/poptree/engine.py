@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import os
 import random
 from dataclasses import dataclass
 from math import expm1, log, log1p
@@ -335,12 +336,151 @@ class RunResult:
     average: list[_metrics.AverageSnapshot]
 
 
-def run(config: SimConfig, snapshot_interval: int = 1000) -> RunResult:
+def check_jobs(jobs: int | None) -> None:
+    """Reject a job count that is neither None nor an int >= 1."""
+    if jobs is None:
+        return
+    if not isinstance(jobs, int) or isinstance(jobs, bool):
+        raise TypeError(f"jobs must be an int, got {jobs!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+
+
+def process_count(jobs: int | None, realizations: int, cpus: int, can_fork: bool) -> int:
+    """How many processes run a config's realizations: `jobs` (all `cpus`
+    when None), capped at `cpus` and at `realizations`, and 1 without fork."""
+    check_jobs(jobs)
+    if not can_fork:
+        return 1
+    return min(cpus if jobs is None else jobs, cpus, realizations)
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def run(
+    config: SimConfig, snapshot_interval: int = 1000, jobs: int | None = None
+) -> RunResult:
     """Run every realization of `config` (sub-seeded deterministically from
-    config.seed) and average the snapshot series pointwise."""
-    series = [
-        run_single(config, realization, snapshot_interval)
-        for realization in range(config.realizations)
-    ]
+    config.seed) and average the snapshot series pointwise.
+
+    The realizations are split into `jobs` contiguous blocks (by default one
+    per available CPU; never more blocks than CPUs or realizations).  Every
+    block but the last runs in a forked worker process that sends its results
+    back through a pipe; the calling process runs the last block itself.  The
+    series come back in realization order, so the result does not depend on
+    `jobs`.  With one block, or where `os.fork` does not exist, everything
+    runs in the calling process.
+    """
+    check_snapshot_interval(snapshot_interval)
+    realizations = config.realizations
+    blocks = process_count(jobs, realizations, available_cpus(), hasattr(os, "fork"))
+    if blocks == 1:
+        series = [run_single(config, k, snapshot_interval) for k in range(realizations)]
+    else:
+        bounds = [b * realizations // blocks for b in range(blocks + 1)]
+        series = _run_forked(
+            config,
+            snapshot_interval,
+            [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+        )
     average = _metrics.average_snapshots([s.snapshots for s in series])
     return RunResult(config, series, average)
+
+
+def _run_forked(
+    config: SimConfig, snapshot_interval: int, blocks: list[range]
+) -> list[_metrics.MetricsSeries]:
+    """Fork one worker per block but the last, run the last block here, and
+    gather every worker's series in block order.
+
+    A worker's exception is re-raised here with its type and message.  A
+    worker that exits without a result is a RuntimeError.  Whatever is
+    raised, no worker outlives this call: those not yet collected are
+    killed and reaped.
+    """
+    import pickle
+    import signal
+
+    workers: dict[int, int] = {}  # pid -> read end of its pipe, in block order
+    try:
+        for block in blocks[:-1]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _worker(config, snapshot_interval, block, read_fd, write_fd)
+            os.close(write_fd)
+            workers[pid] = read_fd
+        own = [run_single(config, k, snapshot_interval) for k in blocks[-1]]
+        series = []
+        for pid, read_fd in list(workers.items()):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            os.close(read_fd)
+            if not data:
+                raise RuntimeError(
+                    f"realization worker {pid} exited without a result (wait status {status})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            series.extend(value)
+        return series + own
+    finally:
+        for pid, read_fd in workers.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+
+
+def _worker(
+    config: SimConfig, snapshot_interval: int, block: range, read_fd: int, write_fd: int
+) -> None:
+    """The forked side of `_run_forked`: run `block`, write `(True, series)`
+    or `(False, exception)` to the pipe and leave through `os._exit`, so no
+    cleanup or exit hook of the calling process runs twice."""
+    status = 1
+    try:
+        import pickle
+
+        os.close(read_fd)
+        try:
+            reply = (True, [run_single(config, k, snapshot_interval) for k in block])
+        except BaseException as exc:
+            if hasattr(exc, "add_note"):  # Python 3.11+: keep the worker's traceback
+                import traceback
+
+                exc.add_note(
+                    f"raised in realization worker {os.getpid()}:\n"
+                    + "".join(traceback.format_tb(exc.__traceback__))
+                )
+            reply = (False, exc)
+        try:
+            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # keep at least the type and message
+            error = exc if reply[0] else reply[1]
+            data = pickle.dumps(
+                (False, RuntimeError(f"{type(error).__name__}: {error}")),
+                pickle.HIGHEST_PROTOCOL,
+            )
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()  # the caller only sees the exit status
+    finally:
+        os._exit(status)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .engine import _INT_FIELDS, SimConfig, check_snapshot_interval, run
+from .engine import _INT_FIELDS, SimConfig, check_jobs, check_snapshot_interval, run
 from .metrics import AverageSnapshot, MetricsSeries
 
 SWEEPABLE_PARAMS = ("n_peers", "s", "p_update", "p_add", "p_file", "p_leave", "t_max")
@@ -149,16 +149,26 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     )
 
 
-def run_experiment(spec: ExperimentSpec) -> list[ResultBundle]:
+def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[ResultBundle]:
     """Run every sweep point of `spec` and, if an output directory is set,
     write its files (series.csv, histograms.json, majority.csv, config,
-    and optionally the final main tree as DOT)."""
+    and optionally the final main tree as DOT).
+
+    config.json is written before the first point runs, and each point's
+    files as soon as that point is done, so a failure at one point keeps
+    the points before it.  `jobs` is passed on to `run`: how many
+    processes run a point's realizations.  It never changes an output.
+    """
     from . import export  # deferred: export imports this module's types
 
+    check_jobs(jobs)
+    if spec.out_dir is not None:
+        export.write_outputs(spec, [])
     bundles = []
     for value, config in spec.configs():
-        result = run(config, spec.snapshot_interval)
-        bundles.append(ResultBundle(value, config, result.series, result.average))
-    if spec.out_dir is not None:
-        export.write_outputs(spec, bundles)
+        result = run(config, spec.snapshot_interval, jobs)
+        bundle = ResultBundle(value, config, result.series, result.average)
+        bundles.append(bundle)
+        if spec.out_dir is not None:
+            export.write_outputs(spec, [bundle], config=False)
     return bundles

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
@@ -132,21 +133,41 @@ def bundle_dir(spec: ExperimentSpec, bundle: ResultBundle) -> Path:
     return spec.out_dir / f"{param}={bundle.sweep_value}"
 
 
-def write_outputs(spec: ExperimentSpec, bundles: list[ResultBundle]) -> None:
-    """Write every sweep point's files plus the resolved spec itself."""
-    assert spec.out_dir is not None
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(spec.out_dir / "config.json", "w") as handle:
+def _write_whole(path: Path, write, *args) -> None:
+    """Call write(temp, *args) on a temp file next to `path`, then move it
+    onto `path`: a reader, or a run that fails half-way, never sees a
+    half-written file."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(temp, *args)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _write_config_json(path: Path, spec: ExperimentSpec) -> None:
+    with open(path, "w") as handle:
         json.dump(spec_to_dict(spec), handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def write_outputs(spec: ExperimentSpec, bundles: list[ResultBundle], config: bool = True) -> None:
+    """Write the resolved spec as config.json (unless `config` is false),
+    then every given sweep point's files.  Each file is written whole to a
+    temp file and renamed into place."""
+    assert spec.out_dir is not None
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    if config:
+        _write_whole(spec.out_dir / "config.json", _write_config_json, spec)
     for bundle in bundles:
         directory = bundle_dir(spec, bundle)
         directory.mkdir(parents=True, exist_ok=True)
-        write_series_csv(directory / "series.csv", bundle)
-        write_majority_csv(directory / "majority.csv", bundle)
-        write_histograms_json(directory / "histograms.json", bundle)
+        _write_whole(directory / "series.csv", write_series_csv, bundle)
+        _write_whole(directory / "majority.csv", write_majority_csv, bundle)
+        _write_whole(directory / "histograms.json", write_histograms_json, bundle)
         if spec.emit_dot:
             tree = bundle.series[0].final_main_tree
             if tree is not None:
                 dot_path = directory / f"main_tree_{bundle.config.t_max}.dot"
-                dot_path.write_text(export_dot(tree))
+                _write_whole(dot_path, Path.write_text, export_dot(tree))

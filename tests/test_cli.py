@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from poptree import cli
 from poptree.cli import main, parse_config
 from poptree.engine import SimConfig
 from poptree.experiment import ExperimentSpec, spec_to_dict
@@ -127,6 +128,22 @@ def test_invalid_config_file_is_a_usage_error(tmp_path, capsys, config):
     with pytest.raises(SystemExit):
         parse_config(["--config", str(bad)])
     assert next(iter(config["config"])) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
+def test_a_bad_job_count_is_a_usage_error_naming_jobs(value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        parse_config(["--jobs", value])
+    assert excinfo.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_flag_reaches_run_experiment_but_not_the_spec(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec, jobs: seen.append((spec, jobs)) or [])
+    assert main(["--steps", "10", "--jobs", "3"]) == 0
+    assert main(["--steps", "10"]) == 0
+    assert seen == [(parse_config(["--steps", "10"]), 3), (parse_config(["--steps", "10"]), None)]
 
 
 def test_literal_pseudocode_flag():

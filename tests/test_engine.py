@@ -2,6 +2,7 @@
 
 import gc
 import math
+import os
 import random
 from dataclasses import replace
 
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poptree import engine
 from poptree.engine import (
     SimConfig,
     Simulation,
     choose_update_index,
     derive_seed,
+    process_count,
     run,
     run_single,
 )
@@ -436,12 +439,21 @@ def test_run_of_zero_steps_reports_the_initial_tree():
     assert series.majority_events == []
 
 
-def test_identical_configs_reproduce_bit_identical_series():
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let jobs=2 fork one worker on any host."""
+    monkeypatch.setattr(engine, "available_cpus", lambda: 2)
+
+
+def test_identical_configs_reproduce_bit_identical_series(two_cpus):
     cfg = SimConfig(t_max=2500, realizations=2, seed=99)
     first = run(cfg)
     second = run(cfg)
     assert first.series == second.series
     assert first.average == second.average
+    serial, forked = run(cfg, jobs=1), run(cfg, jobs=2)
+    assert serial.series == forked.series == first.series
+    assert serial.average == forked.average == first.average
 
 
 def test_different_seeds_differ():
@@ -784,3 +796,108 @@ def assert_steps_match_the_reference(config, steps):
         assert record.mean_degree == expected.mean_degree
         assert record.updated == expected.updated
         assert walk_state(fused) == walk_state(reference)
+
+
+# --- parallel realizations ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "jobs, realizations, cpus, can_fork, expected",
+    [
+        (None, 10, 2, True, 2),  # default: the available CPUs
+        (None, 1, 2, True, 1),  # never more processes than realizations
+        (None, 10, 64, True, 10),
+        (1, 10, 2, True, 1),
+        (2, 10, 2, True, 2),
+        (10**6, 10, 2, True, 2),  # capped at the CPUs
+        (10**6, 3, 64, True, 3),  # capped at the realizations
+        (None, 10**6, 10**6, True, 10**6),
+        (None, 10, 2, False, 1),  # no fork: one process
+        (10**6, 10**6, 10**6, False, 1),
+    ],
+)
+def test_process_count_caps_the_requested_jobs(jobs, realizations, cpus, can_fork, expected):
+    assert process_count(jobs, realizations, cpus, can_fork) == expected
+
+
+@pytest.mark.parametrize(
+    "jobs, error", [(0, ValueError), (-1, ValueError), (True, TypeError), (2.0, TypeError), ("2", TypeError)]
+)
+def test_bad_job_counts_are_refused_before_anything_runs(jobs, error, monkeypatch):
+    with pytest.raises(error, match="jobs"):
+        process_count(jobs, 10, 2, False)
+    monkeypatch.setattr(engine, "run_single", None)  # a run would fail on calling it
+    with pytest.raises(error, match="jobs"):
+        run(SimConfig(t_max=10, realizations=2), jobs=jobs)
+
+
+def test_forked_realizations_come_back_in_realization_order(two_cpus):
+    # three realizations over two processes: realization 0 in the worker,
+    # 1 and 2 in the caller
+    cfg = SimConfig(n_peers=20, t_max=600, realizations=3, seed=8)
+    result = run(cfg, snapshot_interval=100, jobs=2)
+    assert result.series == [run_single(cfg, k, 100) for k in range(3)]
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_at(monkeypatch, realization, fail):
+    """Make run_single call fail() for one realization."""
+    original = engine.run_single
+
+    def run_single(config, k, snapshot_interval):
+        if k == realization:
+            fail()
+        return original(config, k, snapshot_interval)
+
+    monkeypatch.setattr(engine, "run_single", run_single)
+
+
+def raise_value_error():
+    raise ValueError("realization failed")
+
+
+CFG_2 = SimConfig(n_peers=10, t_max=300, realizations=2, seed=3)
+
+
+def test_a_worker_exception_is_raised_in_the_caller(two_cpus, monkeypatch, collector_state):
+    gc.enable()
+    fail_at(monkeypatch, 0, raise_value_error)  # realization 0 runs in the worker
+    with pytest.raises(ValueError) as excinfo:
+        run(CFG_2, snapshot_interval=100, jobs=2)
+    assert str(excinfo.value) == "realization failed"  # type and message unchanged
+    if hasattr(excinfo.value, "__notes__"):  # Python 3.11+: the worker's traceback
+        assert "raised in realization worker" in excinfo.value.__notes__[0]
+    assert_no_child_left()
+    assert gc.isenabled()
+
+
+def test_a_failure_in_the_callers_block_kills_and_reaps_the_worker(
+    two_cpus, monkeypatch, collector_state
+):
+    gc.enable()
+    fail_at(monkeypatch, 1, raise_value_error)  # the last realization runs in the caller
+    with pytest.raises(ValueError, match="realization failed"):
+        run(CFG_2, snapshot_interval=100, jobs=2)
+    assert_no_child_left()
+    assert gc.isenabled()
+
+
+def test_a_worker_that_exits_without_a_result_is_an_error(two_cpus, monkeypatch, collector_state):
+    gc.enable()
+    caller = os.getpid()
+
+    def exit_in_worker():
+        if os.getpid() != caller:
+            os._exit(3)
+        raise AssertionError("realization 0 ran in the caller")
+
+    fail_at(monkeypatch, 0, exit_in_worker)
+    with pytest.raises(RuntimeError, match=r"worker \d+ exited without a result \(wait status 768\)"):
+        run(CFG_2, snapshot_interval=100, jobs=2)
+    assert_no_child_left()
+    assert gc.isenabled()

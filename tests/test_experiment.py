@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from poptree import experiment, export
 from poptree.directory import MainTree, NodeVersion
 from poptree.engine import SimConfig
 from poptree.experiment import (
@@ -256,6 +257,68 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+def test_a_failed_sweep_point_keeps_the_points_before_it(tmp_path, monkeypatch):
+    spec = ExperimentSpec(
+        base=replace(FAST, realizations=1),
+        sweep=("p_update", (0.1, 0.5, 0.9)),
+        out_dir=tmp_path / "sweep",
+        snapshot_interval=100,
+    )
+    original = experiment.run
+
+    def run(config, snapshot_interval, jobs):
+        if config.p_update == 0.5:
+            raise RuntimeError("point 2 failed")
+        return original(config, snapshot_interval, jobs)
+
+    monkeypatch.setattr(experiment, "run", run)
+    with pytest.raises(RuntimeError, match="point 2 failed"):
+        run_experiment(spec)
+    out = tmp_path / "sweep"
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "p_update=0.1"]
+    assert spec_from_dict(json.loads((out / "config.json").read_text())) == spec
+    assert sorted(p.name for p in (out / "p_update=0.1").iterdir()) == [
+        "histograms.json",
+        "majority.csv",
+        "series.csv",
+    ]
+    # the kept point is whole: the same bytes as running that point alone
+    alone = ExperimentSpec(
+        base=replace(FAST, realizations=1, p_update=0.1),
+        out_dir=tmp_path / "alone",
+        snapshot_interval=100,
+    )
+    monkeypatch.setattr(experiment, "run", original)
+    run_experiment(alone)
+    for name in ("series.csv", "majority.csv"):
+        assert (out / "p_update=0.1" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
+def test_a_write_that_fails_half_way_leaves_no_file(tmp_path, monkeypatch):
+    def half_written(path, bundle):
+        path.write_text("realization,node")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(export, "write_majority_csv", half_written)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(ExperimentSpec(base=FAST, out_dir=tmp_path, snapshot_interval=100))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "series.csv"]
+
+
+def test_jobs_are_checked_before_anything_is_written(tmp_path):
+    spec = ExperimentSpec(base=FAST, out_dir=tmp_path / "out", snapshot_interval=100)
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(spec, jobs=0)
+    assert not (tmp_path / "out").exists()
+
+
+def test_jobs_are_not_recorded_in_config_json(tmp_path):
+    # how to run is not part of what ran: spec_from_dict refuses unknown keys
+    spec = ExperimentSpec(base=FAST, out_dir=tmp_path, snapshot_interval=100)
+    run_experiment(spec, jobs=2)
+    assert spec_from_dict(json.loads((tmp_path / "config.json").read_text())) == spec
 
 
 # --- DOT export ---------------------------------------------------------------

@@ -3,7 +3,9 @@
 A run is a pure function of its config, and these digests pin that
 function from one version of the code to the next.  A refactor or a speed-up
 must leave them unchanged; a digest that moves means the trajectory (or the
-output format) changed, which needs its own justification.
+output format) changed, which needs its own justification.  The realizations
+run in one process (jobs=1) and split over a forked worker and the caller
+(jobs=2); both must write the same bytes.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from poptree import engine
 from poptree.engine import SimConfig
 from poptree.experiment import ExperimentSpec, run_experiment
 
@@ -47,11 +50,21 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_outputs_match_golden_digests(name, tmp_path):
-    run_experiment(ExperimentSpec(base=CONFIGS[name], out_dir=tmp_path))
+def assert_golden(name, jobs, out_dir):
+    run_experiment(ExperimentSpec(base=CONFIGS[name], out_dir=out_dir), jobs=jobs)
     digests = {
-        file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+        file: hashlib.sha256((out_dir / file).read_bytes()).hexdigest()
         for file in GOLDEN[name]
     }
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_match_golden_digests(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "available_cpus", lambda: 2)  # so jobs=2 forks on any host
+    assert_golden(name, 2, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_match_golden_digests_in_one_process(name, tmp_path):
+    assert_golden(name, 1, tmp_path)

@@ -80,3 +80,26 @@ def test_a_run_does_not_load_the_namespace_model():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_a_one_realization_run_forks_nothing_and_imports_nothing_new():
+    # one block of realizations runs the serial code: no fork, and none of
+    # the modules the forked path needs (pickle, signal) gets loaded
+    script = (
+        "import os, sys\n"
+        "import poptree, poptree.cli\n"
+        "def no_fork():\n"
+        "    raise AssertionError('forked')\n"
+        "os.fork = no_fork\n"
+        "poptree.run(poptree.SimConfig(t_max=50, realizations=1))\n"
+        "poptree.run(poptree.SimConfig(t_max=50, realizations=2), jobs=1)\n"
+        "assert 'pickle' not in sys.modules and 'signal' not in sys.modules, sorted(sys.modules)\n"
+    )
+    src = Path(poptree.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n{script}"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
