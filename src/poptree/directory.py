@@ -198,7 +198,8 @@ def main_tree(store: DirectoryStore, index, rng: random.Random) -> MainTree:
     """Extract the main tree by walking from the root and keeping, per
     node, the most viewed version (ties broken uniformly at random).
 
-    `index` supplies live viewer counts via counts_for(node).
+    `index` is the run's `PopularityIndex`; each node's pick is
+    `index.popular`, the pick of `pick_popular` over the node's counts.
     """
     if store.node_count == 0:
         return MainTree({})
@@ -208,7 +209,7 @@ def main_tree(store: DirectoryStore, index, rng: random.Random) -> MainTree:
         node = queue.popleft()
         if node in nodes:  # defensive; the node structure is a tree
             continue
-        chosen = pick_popular(store.versions_of(node), index.counts_for(node), rng)
+        chosen = index.popular(node, store.versions_of(node), rng)
         nodes[node] = chosen
         queue.extend(chosen.children)
     return MainTree(nodes)

@@ -222,7 +222,9 @@ class Simulation:
             if not path:
                 return TraversalRecord(peer, [], 0.0, None)
         mean_degree = degree / len(path)
-        target = path[choose_update_index(mean_degree, len(path), self.rng.random())]
+        p = self.rng.random()
+        # a literal walk can sum degree 0 over 2+ entries: index 0, the d -> 0+ limit
+        target = path[choose_update_index(mean_degree, len(path), p) if degree else 0]
         updated = None
         if self.rng.random() < cfg.p_update:
             self.apply_update(target, peer)
@@ -320,7 +322,7 @@ def run_single(
             viewers_histogram=_metrics.viewers_histogram(index),
             viewers_by_quality=_metrics.viewers_by_quality(store, index),
             majority_events=tracker.events,
-            final_main_tree=tree,
+            final_main_tree=tree if realization == 0 else None,
         )
     finally:
         if collecting:

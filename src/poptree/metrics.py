@@ -69,7 +69,8 @@ class QualityBucket:
 
 @dataclass
 class MetricsSeries:
-    """Everything measured over one realization."""
+    """Everything measured over one realization.  Only realization 0 keeps
+    `final_main_tree`, the tree the DOT output draws; the others carry None."""
 
     snapshots: list[Snapshot]
     degree_histogram: dict[int, int]
@@ -110,9 +111,7 @@ def degree_histogram(
     draws as `pick_popular` but needs no scan for a node with a known
     leader.  Nodes go in id order, so tie draws come in a fixed order."""
     histogram: dict[int, int] = {}
-    for node in range(1, store.node_count + 1):
-        if not index.counts_for(node):
-            continue
+    for node in index.viewed_nodes():
         representative = index.popular(node, store.versions_of(node), rng)
         degree = len(representative.children)
         histogram[degree] = histogram.get(degree, 0) + 1
@@ -122,8 +121,10 @@ def degree_histogram(
 def viewers_histogram(index: PopularityIndex) -> dict[int, int]:
     """Frequency of viewer counts over all versions with viewers."""
     histogram: dict[int, int] = {}
-    for _node, _version, count in index.iter_counts():
-        histogram[count] = histogram.get(count, 0) + 1
+    viewed_versions = index.viewed_versions
+    for node in index.viewed_nodes():
+        for _version, count in viewed_versions(node):
+            histogram[count] = histogram.get(count, 0) + 1
     return histogram
 
 
@@ -131,18 +132,18 @@ def viewers_by_quality(
     store: DirectoryStore, index: PopularityIndex
 ) -> list[QualityBucket]:
     """Mean viewers per version, bucketed by quality decile.  Every version
-    counts, viewed or not; viewers are summed from each node's counts, so
-    unviewed versions cost no lookup.  A quality is below 1 (NodeVersion
-    checks it), and quality * 10 then rounds to below 10, so
+    counts, viewed or not; viewers are summed from each node's viewed
+    versions, so unviewed versions cost no lookup.  A quality is below 1
+    (NodeVersion checks it), and quality * 10 then rounds to below 10, so
     int(quality * 10) is the decile, 0 to 9."""
     versions = [0] * 10
     viewers = [0] * 10
-    counts_for = index.counts_for
+    viewed_versions = index.viewed_versions
     for node in range(1, store.node_count + 1):
         node_versions = store.versions_of(node)
         for v in node_versions:
             versions[int(v.quality * 10)] += 1
-        for version, count in counts_for(node).items():
+        for version, count in viewed_versions(node):
             viewers[int(node_versions[version - 1].quality * 10)] += count
     return [
         QualityBucket(b / 10, (b + 1) / 10, versions[b], viewers[b]) for b in range(10)

@@ -11,6 +11,7 @@ slot but restarts with a blank slate, as if replaced by a newcomer.
 from __future__ import annotations
 
 import random
+from itertools import compress, count
 
 from .directory import DirectoryStore, NodeVersion, pick_popular
 
@@ -21,16 +22,22 @@ _GROW_CHUNK = 1024  # node slots the index lists gain at a time
 class PopularityIndex:
     """Per-(node, version) viewer counts, maintained incrementally.
 
-    Zero counts are pruned, so proportional draws and max scans only touch
-    versions that still have viewers.  When a majority count is set,
-    versions whose count climbs to it are queued for the metrics layer.
+    The index is sparse: a node whose viewers all view one version keeps no
+    counts dict; that version is its leader, its count the node's total, its
+    bound 0.  A second version's first viewer makes the dict `{leader:
+    total, new: 1}`, the one a dense index holds then, in its order.  It
+    lives until the node has no viewers, never folded back, so every draw
+    sees the dense counts in the dense order.  Zero counts are pruned, so
+    draws and max scans only touch versions that still have viewers.  When
+    a majority count is set, versions whose count climbs to it are queued
+    for the metrics layer.
 
     Each node also tracks its leader, the version that alone holds the top
     count, so that the default view needs no scan.  Two lists indexed by
     node id hold it: `_leader`, the leading version or 0 when unknown or
     tied, and `_bound`, an upper bound on every count of the node other
     than the leader's (on every count while there is no leader).  A known
-    leader's own count is read from the counts.
+    leader's own count is read from the counts, or is the node's total.
 
     `increment` and `decrement` keep them in O(1).  A version whose count
     climbs above the bound becomes the leader.  A decrement of the leader
@@ -55,12 +62,27 @@ class PopularityIndex:
 
     def counts_for(self, node: int) -> dict[int, int]:
         """Viewer counts for `node`, versions with at least one viewer only.
-        The mapping is live; callers must not mutate it."""
-        return self._counts.get(node, _EMPTY)
+        A node's dict is returned live, and callers must not mutate it; a
+        node without one gets a fresh `{leader: total}`."""
+        counts = self._counts.get(node)
+        return counts if counts is not None else dict(self.viewed_versions(node))
+
+    def viewed_versions(self, node: int):
+        """(version, count) for each viewed version of `node`, in the order
+        of its counts, without making a dict for a node that has none."""
+        counts = self._counts.get(node)
+        if counts is not None:
+            return counts.items()
+        total = self._totals[node] if node < len(self._totals) else 0
+        return ((self._leader[node], total),) if total else ()
 
     @property
     def viewed_node_count(self) -> int:
         return self._viewed_nodes
+
+    def viewed_nodes(self):
+        """The viewed nodes in id order, lazily: no total may change meanwhile."""
+        return compress(count(), self._totals)
 
     def popular(
         self, node: int, versions: list[NodeVersion], rng: random.Random
@@ -101,22 +123,29 @@ class PopularityIndex:
             self._grow(node)
             total = 1
         totals[node] = total
-        if total == 1:
+        leaders = self._leader
+        leader = leaders[node]
+        if total == 1:  # the first viewer: its version leads, with no dict
             self._viewed_nodes += 1
-            counts = self._counts[node] = {version: 1}
+            leaders[node] = version
             c = 1
         else:
-            counts = self._counts[node]
-            c = counts.get(version, 0) + 1
-            counts[version] = c
-        leader = self._leader[node]
-        if leader != version and c > self._bound[node]:
-            if not leader:  # above every count: the unique top
-                self._leader[node] = version
-            else:
-                self._bound[node] = c
-                if c == counts[leader]:  # tied with the leader
-                    self._leader[node] = 0
+            counts = self._counts.get(node)
+            if counts is not None:
+                c = counts.get(version, 0) + 1
+                counts[version] = c
+            elif leader == version:
+                c = total
+            else:  # a second viewed version
+                counts = self._counts[node] = {leader: total - 1, version: 1}
+                c = 1
+            if leader != version and c > self._bound[node]:
+                if not leader:  # above every count: the unique top
+                    leaders[node] = version
+                else:
+                    self._bound[node] = c
+                    if c == counts[leader]:  # tied with the leader
+                        leaders[node] = 0
         if c == self._majority_count:
             self._crossings.append((node, version))
 
@@ -124,7 +153,9 @@ class PopularityIndex:
         """One viewer of `node` leaves version `old` for `new`: the same
         state as `increment(node, new)` then `decrement(node, old)`, without
         touching the node's total."""
-        counts = self._counts[node]
+        counts = self._counts.get(node)
+        if counts is None:  # a second viewed version; `old` holds every viewer
+            counts = self._counts[node] = {old: self._totals[node]}
         c = counts.get(new, 0) + 1
         counts[new] = c
         leaders = self._leader
@@ -148,16 +179,19 @@ class PopularityIndex:
             leaders[node] = 0
 
     def decrement(self, node: int, version: int) -> None:
-        counts = self._counts[node]
-        c = counts[version] - 1
-        if c:
-            counts[version] = c
-        else:
-            del counts[version]
-            if not counts:
-                del self._counts[node]
         total = self._totals[node] - 1
         self._totals[node] = total
+        counts = self._counts.get(node)
+        if counts is None:  # `version` is the leader and holds every viewer
+            c = total
+        else:
+            c = counts[version] - 1
+            if c:
+                counts[version] = c
+            elif total:
+                del counts[version]
+            else:
+                del self._counts[node]
         if total == 0:
             self._viewed_nodes -= 1
             self._leader[node] = self._bound[node] = 0
@@ -171,11 +205,6 @@ class PopularityIndex:
         crossed = self._crossings
         self._crossings = []
         return crossed
-
-    def iter_counts(self):
-        for node, counts in self._counts.items():
-            for version, c in counts.items():
-                yield node, version, c
 
 
 class PeerPopulation:
@@ -260,7 +289,7 @@ class PeerPopulation:
             raise KeyError(f"unknown node {node}")
         versions = nodes[node]
         index = self.index
-        counts = index._counts.get(node)
+        counts = index.counts_for(node)
         # _randbelow(n) is randrange(n) for an int n >= 1, with the same draw
         if counts:
             r = rng._randbelow(index._totals[node])
@@ -338,14 +367,16 @@ class PeerPopulation:
                 r = getrandbits(bits)
                 while r >= n:
                     r = getrandbits(bits)
-                for k, c in counts_of[node].items():
-                    r -= c
-                    if r < 0:
-                        break
-                if k != j:
-                    prefs[node] = k
-                    move(node, j, k)
-                    current = versions[k - 1]
+                counts = counts_of.get(node)
+                if counts is not None:  # without a dict, `j` holds every viewer
+                    for k, c in counts.items():
+                        r -= c
+                        if r < 0:
+                            break
+                    if k != j:
+                        prefs[node] = k
+                        move(node, j, k)
+                        current = versions[k - 1]
             if not current.is_dir:
                 break
             children = current.children

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from poptree.directory import pick_popular
 from poptree.engine import Simulation, TraversalRecord, choose_update_index
 from poptree.namespace import Namespace, view
 from poptree.peers import PeerPopulation
@@ -106,10 +107,103 @@ def reference_traverse(sim: Simulation, peer: int) -> TraversalRecord:
             return TraversalRecord(peer, [], 0.0, None)
         degree = viewed_degree
     mean_degree = degree / len(path)
-    target = path[choose_update_index(mean_degree, len(path), rng.random())]
+    p = rng.random()
+    target = path[choose_update_index(mean_degree, len(path), p) if degree else 0]
     updated = None
     if rng.random() < cfg.p_update:
         sim.apply_update(target, peer)
         updated = target.node
     return TraversalRecord(peer, path, mean_degree, updated)
 
+
+
+# --- dense reference index -------------------------------------------------------
+#
+# The popularity index before it went sparse: every viewed node keeps a
+# {version: count} dict, made at its first view.  A count that reaches 0 is
+# deleted, and so is a node's dict once it is empty.  `move` is an increment
+# of the new version, then a decrement of the old one.  The leader and bound
+# bookkeeping is the sparse index's.  test_peers.py holds the sparse index to
+# it operation for operation.
+
+
+class DenseIndex:
+    def __init__(self, majority_count=None):
+        self._counts: dict[int, dict[int, int]] = {}
+        self._totals: list[int] = []
+        self._leader: list[int] = []
+        self._bound: list[int] = []
+        self._viewed_nodes = 0
+        self._majority_count = majority_count
+        self._crossings: list[tuple[int, int]] = []
+
+    def counts_for(self, node):
+        return self._counts.get(node, {})
+
+    def popular(self, node, versions, rng):
+        leaders = self._leader
+        leader = leaders[node] if node < len(leaders) else 0
+        if leader:
+            return versions[leader - 1]
+        counts = self._counts.get(node)
+        if not counts:
+            return pick_popular(versions, {}, rng)
+        top = max(counts.values())
+        ties = [j for j, c in counts.items() if c == top]
+        if len(ties) > 1:
+            self._bound[node] = top
+            return versions[ties[rng.randrange(len(ties))] - 1]
+        leader = leaders[node] = ties[0]
+        self._bound[node] = max([c for c in counts.values() if c != top], default=0)
+        return versions[leader - 1]
+
+    def increment(self, node, version):
+        if node >= len(self._totals):
+            extra = [0] * (node + 1024 - len(self._totals))
+            for stored in (self._totals, self._leader, self._bound):
+                stored.extend(extra)
+        total = self._totals[node] = self._totals[node] + 1
+        if total == 1:
+            self._viewed_nodes += 1
+        counts = self._counts.setdefault(node, {})
+        c = counts[version] = counts.get(version, 0) + 1
+        leader = self._leader[node]
+        if leader != version and c > self._bound[node]:
+            if not leader:
+                self._leader[node] = version
+            else:
+                self._bound[node] = c
+                if c == counts[leader]:
+                    self._leader[node] = 0
+        if c == self._majority_count:
+            self._crossings.append((node, version))
+
+    def move(self, node, old, new):
+        self.increment(node, new)
+        self.decrement(node, old)
+
+    def decrement(self, node, version):
+        counts = self._counts[node]
+        c = counts[version] - 1
+        if c:
+            counts[version] = c
+        else:
+            del counts[version]
+            if not counts:
+                del self._counts[node]
+        total = self._totals[node] = self._totals[node] - 1
+        if total == 0:
+            self._viewed_nodes -= 1
+            self._leader[node] = self._bound[node] = 0
+        elif self._leader[node] == version and c <= self._bound[node]:
+            self._leader[node] = 0
+
+
+def assert_sparse_rule(index, node):
+    """A viewed node without a counts dict has a known leader, a bound of
+    0, and `counts_for(node) == {leader: total}`."""
+    total = index._totals[node] if node < len(index._totals) else 0
+    if total and node not in index._counts:
+        leader = index._leader[node]
+        assert leader and index._bound[node] == 0
+        assert index.counts_for(node) == {leader: total}

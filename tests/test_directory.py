@@ -14,19 +14,21 @@ from poptree.directory import (
     main_tree,
     sample_quality,
 )
+from poptree.peers import PeerPopulation, PopularityIndex
 from support import ScriptedRandom
 
 S_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-class FakeIndex:
-    """Stand-in popularity view: a fixed node -> {version: count} mapping."""
-
-    def __init__(self, counts=None):
-        self.counts = counts or {}
-
-    def counts_for(self, node):
-        return self.counts.get(node, {})
+def index_with(store, counts):
+    """A real popularity index over `store` holding the node -> {version:
+    count} viewer counts in `counts`, each viewer a peer of its own."""
+    pop = PeerPopulation(max(sum(c.values()) for c in counts.values()), store)
+    for node, per_node in counts.items():
+        viewed = [version for version, count in per_node.items() for _ in range(count)]
+        for peer, version in enumerate(viewed):
+            pop.set_preference(peer, node, version)
+    return pop.index
 
 
 # --- quality law -----------------------------------------------------------
@@ -170,7 +172,7 @@ def test_node_version_validation():
 def initial_setup():
     store = DirectoryStore()
     init_control_tree(store)
-    index = FakeIndex({i: {1: 1} for i in (1, 2, 3, 4)})
+    index = index_with(store, {i: {1: 1} for i in (1, 2, 3, 4)})
     return store, index
 
 
@@ -187,7 +189,7 @@ def test_main_tree_breaks_viewer_ties_uniformly():
     store = DirectoryStore()
     store.add_node(True, 0.3, created_at=0)
     store.add_version(1, 0.6, (), created_at=1)
-    index = FakeIndex({1: {1: 3, 2: 3}})
+    index = index_with(store, {1: {1: 3, 2: 3}})
     rng = random.Random(77)
     picks = {1: 0, 2: 0}
     trials = 1000
@@ -225,7 +227,7 @@ def test_main_tree_matches_brute_force_on_single_version_chain():
     store.add_node(True, 0.5, created_at=0, children=(2,))
     store.add_node(True, 0.5, created_at=0, children=(3,))
     store.add_node(True, 0.5, created_at=0)
-    index = FakeIndex({1: {1: 1}, 2: {1: 1}, 3: {1: 1}})
+    index = index_with(store, {1: {1: 1}, 2: {1: 1}, 3: {1: 1}})
     tree = main_tree(store, index, random.Random(4))
     oracle = brute_force_reachable(store, index, lambda c: c[0])
     assert tree.nodes == oracle
@@ -242,7 +244,7 @@ def test_main_tree_is_rooted_and_bounded():
 
 
 def test_main_tree_of_empty_store():
-    tree = main_tree(DirectoryStore(), FakeIndex(), random.Random(0))
+    tree = main_tree(DirectoryStore(), PopularityIndex(), random.Random(0))
     assert tree.size == 0
     assert tree.mean_quality == 0.0
 
@@ -253,6 +255,6 @@ def test_main_tree_mean_quality_averages_its_nodes():
     store.add_node(True, 0.6, created_at=0)
     store.add_node(False, 0.9, created_at=0)
     store.add_node(False, 0.1, created_at=0)  # never linked
-    tree = main_tree(store, FakeIndex(), ScriptedRandom())
+    tree = main_tree(store, PopularityIndex(), ScriptedRandom())
     assert [v.quality for v in tree.nodes.values()] == [0.3, 0.6, 0.9]
     assert tree.mean_quality == pytest.approx(0.6)

@@ -21,7 +21,13 @@ from poptree.engine import (
     run_single,
 )
 from poptree.metrics import MajorityTracker, Snapshot
-from support import ScriptedRandom, namespace_of, reference_step
+from support import (
+    ScriptedRandom,
+    assert_sparse_rule,
+    namespace_of,
+    reference_step,
+    reference_traverse,
+)
 
 # --- choose_update_index ----------------------------------------------------
 
@@ -295,6 +301,33 @@ def test_literal_empty_path_skips_the_update():
     assert record.path == []
     assert record.mean_degree == 0.0
     assert record.updated is None
+    assert sim.rng.exhausted()
+
+
+@pytest.mark.parametrize("traverse", [Simulation.traverse, reference_traverse])
+def test_literal_walk_with_childless_first_views_updates_its_first_entry(traverse):
+    # every version peer 1 first views is childless, but its re-picks land on
+    # root v1 and node 2 v2, so two entries stay after the root is dropped,
+    # with a degree sum of 0
+    sim = Simulation(SimConfig(n_peers=3, p_update=1.0, p_add=1.0, literal_traversal=True))
+    store, peers = sim.store, sim.peers
+    store.add_version(1, 0.5, (), created_at=0)  # root v2, childless
+    store.add_node(True, 0.5, created_at=0)  # node 5
+    store.add_version(2, 0.5, (5,), created_at=0)  # node 2 v2 links node 5
+    for node, version in ((1, 2), (2, 1), (5, 1)):
+        peers.set_preference(1, node, version)
+    peers.set_preference(2, 2, 2)
+    # root: fail, re-pick v1 (peer 0's), child 2; node 2: fail, re-pick v2
+    # (peer 2's), its single child 5; node 5: keep.  Then the position draw,
+    # the update draw and the update's quality, add, kind and child quality.
+    sim.rng = ScriptedRandom(
+        randoms=[0.9, 0.9, 0.0, 0.7, 0.0, 0.5, 0.5, 0.5, 0.5],
+        randranges=[0, 0, 2],
+    )
+    record = traverse(sim, 1)
+    assert [(v.node, v.version) for v in record.path] == [(2, 2), (5, 1)]
+    assert record.mean_degree == 0.0
+    assert record.updated == 2  # index 0, the d -> 0+ limit of the staircase
     assert sim.rng.exhausted()
 
 
@@ -642,6 +675,7 @@ def assert_index_matches_preferences(sim):
         counts = recounted.get(node, {})
         assert dict(index.counts_for(node)) == counts
         assert index._totals[node] == sum(counts.values())
+        assert_sparse_rule(index, node)
         leader, bound = index._leader[node], index._bound[node]
         if not counts:
             assert (leader, bound) == (0, 0)

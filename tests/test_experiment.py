@@ -1,5 +1,6 @@
 """Experiment specs, sweeps, averaging, and file outputs."""
 
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from poptree import experiment, export
+from poptree import engine, experiment, export
 from poptree.directory import MainTree, NodeVersion
 from poptree.engine import SimConfig
 from poptree.experiment import (
@@ -336,6 +337,21 @@ def test_export_dot_initial_tree(tmp_path):
     assert text.count("->") == 3
     assert text.count("gray55") == 4  # quality 0.5 sits in the third quartile
     assert text == (tmp_path / "main_tree_0.dot").read_text()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_only_realization_0_keeps_its_final_tree(tmp_path, monkeypatch, jobs):
+    # the DOT file draws realization 0's tree, so no other realization keeps
+    # one; the digest is the file this run wrote when every realization did
+    monkeypatch.setattr(engine, "available_cpus", lambda: 2)  # so jobs=2 forks
+    spec = ExperimentSpec(base=replace(FAST, t_max=2000), out_dir=tmp_path, emit_dot=True)
+    (bundle,) = run_experiment(spec, jobs=jobs)
+    assert bundle.series[0].final_main_tree is not None
+    assert bundle.series[1].final_main_tree is None
+    dot = (tmp_path / "main_tree_2000.dot").read_bytes()
+    assert hashlib.sha256(dot).hexdigest() == (
+        "9d8c52f77866c68430999439713e976ebf3eb3779897a0e839ff48eb47a71b0b"
+    )
 
 
 def test_export_dot_file_shading():

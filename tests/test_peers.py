@@ -4,13 +4,13 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poptree.directory import DirectoryStore, pick_popular
+from poptree.directory import DirectoryStore, NodeVersion, pick_popular
 from poptree.namespace import node_name
 from poptree.peers import PeerPopulation, PopularityIndex
-from support import ScriptedRandom, namespace_of
+from support import DenseIndex, ScriptedRandom, assert_sparse_rule, namespace_of
 
 
 def build_population(n_peers=10, versions=1, majority_count=None):
@@ -207,6 +207,8 @@ def assert_consistent(pop, store):
         assert sum(per_node.values()) <= pop.n_peers
         assert stored_total(pop.index, node) == sum(per_node.values())
     assert pop.index.viewed_node_count == len(recomputed)
+    for node in range(1, store.node_count + 1):
+        assert_sparse_rule(pop.index, node)
     # the namespace mirrors the preferences exactly
     namespace = namespace_of(pop)
     for node in range(1, store.node_count + 1):
@@ -511,3 +513,91 @@ def test_default_pick_matches_the_reference_scan(ops):
             assert unprobed.viewing(node, peer, random.Random(seed)) is seen
         assert_default_pick_matches_reference(probed, step)
     assert_default_pick_matches_reference(unprobed, len(ops))
+
+
+# --- the sparse index against the dense reference ------------------------------
+
+# node 1500 lies beyond the index lists' first chunk, so it makes them grow
+SPARSE_NODES = (1, 1500)
+set_op = st.tuples(
+    st.just("set"),
+    st.integers(0, N_PEERS - 1),
+    st.sampled_from(SPARSE_NODES),
+    st.integers(1, N_VERSIONS),
+)
+# sets weigh three times as much as the other operations, so nodes often
+# hold several viewers before one of them moves
+index_operations = st.lists(
+    st.one_of(
+        set_op,
+        set_op,
+        set_op,
+        st.tuples(st.just("leave"), st.integers(0, N_PEERS - 1), st.sampled_from(SPARSE_NODES)),
+        st.tuples(st.just("churn"), st.integers(0, N_PEERS - 1)),
+        st.tuples(st.just("view"), st.sampled_from(SPARSE_NODES), st.integers(0, 2**32)),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_operations)
+# a node's dict is made by a second version's first viewer, and by a move
+# away from the one viewed version; the dense dict's order must hold in both
+@example([("set", 0, 1, 1), ("set", 1, 1, 1), ("set", 2, 1, 2), ("view", 1, 0)])
+@example([("set", 0, 1, 1), ("set", 1, 1, 1), ("set", 0, 1, 2), ("leave", 1, 1)])
+def test_sparse_index_matches_the_dense_reference(ops):
+    # increments, moves, decrements and churn driven straight into both
+    # indexes; after every operation they must agree in every count, in dict
+    # order, and in their leaders, bounds, totals and queued crossings
+    sparse, dense = PopularityIndex(majority_count=3), DenseIndex(majority_count=3)
+    prefs = [{} for _ in range(N_PEERS)]
+    versions = {
+        node: [NodeVersion(node, v, 0.5, True, (), 0) for v in range(1, N_VERSIONS + 1)]
+        for node in SPARSE_NODES
+    }
+    two_viewed = set()  # nodes with two viewed versions since they were last empty
+
+    def leave(peer, node):
+        version = prefs[peer].pop(node)
+        sparse.decrement(node, version)
+        dense.decrement(node, version)
+        if not any(node in p for p in prefs):
+            two_viewed.discard(node)
+
+    for op in ops:
+        if op[0] == "set":
+            _, peer, node, version = op
+            old = prefs[peer].get(node)
+            if old == version:
+                continue
+            if {p[node] for p in prefs if node in p} - {version}:
+                two_viewed.add(node)
+            prefs[peer][node] = version
+            if old is None:
+                sparse.increment(node, version)
+                dense.increment(node, version)
+            else:
+                sparse.move(node, old, version)
+                dense.move(node, old, version)
+        elif op[0] == "leave":
+            if op[2] in prefs[op[1]]:
+                leave(op[1], op[2])
+        elif op[0] == "churn":
+            for node in list(prefs[op[1]]):
+                leave(op[1], node)
+        else:
+            _, node, seed = op
+            sparse_rng, dense_rng = random.Random(seed), random.Random(seed)
+            picked = sparse.popular(node, versions[node], sparse_rng)
+            assert picked is dense.popular(node, versions[node], dense_rng)
+            assert sparse_rng.getstate() == dense_rng.getstate()
+        for node in SPARSE_NODES:
+            assert list(sparse.counts_for(node).items()) == list(dense.counts_for(node).items())
+            assert_sparse_rule(sparse, node)
+        assert sparse._leader == dense._leader
+        assert sparse._bound == dense._bound
+        assert sparse._totals == dense._totals
+        assert sparse._crossings == dense._crossings
+        assert sparse.viewed_node_count == dense._viewed_nodes
+        assert set(sparse._counts) == two_viewed
