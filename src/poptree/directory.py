@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 
 def sample_quality(s: float, rng: random.Random) -> float:
@@ -85,8 +85,11 @@ class DirectoryStore:
     and node 1 is the root."""
 
     def __init__(self):
-        self._versions: list[list[NodeVersion]] = [[]]  # slot 0 unused
-        self._total_versions = 0
+        # a node's versions: a 1-tuple until its second version, then an
+        # exact-size list that grows by append; slot 0 is unused
+        self._versions: list[Sequence[NodeVersion]] = [()]
+        self._numbers = [0, 1]  # version n of every node is the int _numbers[n]
+        self._by_decile = [0] * 10  # versions created per quality decile
 
     @property
     def node_count(self) -> int:
@@ -94,10 +97,17 @@ class DirectoryStore:
 
     @property
     def total_versions(self) -> int:
-        return self._total_versions
+        return sum(self._by_decile)
 
-    def versions_of(self, node: int) -> list[NodeVersion]:
-        """All versions of `node`, oldest first.  Callers must not mutate."""
+    @property
+    def versions_by_decile(self) -> list[int]:
+        """Versions created with quality in [b/10, (b+1)/10), for b = 0..9."""
+        return list(self._by_decile)
+
+    def versions_of(self, node: int) -> Sequence[NodeVersion]:
+        """All versions of `node`, oldest first, as a read-only sequence.
+        A later `add_version` may replace it instead of extending it, so
+        hold on to the node id, not the sequence."""
         if not 1 <= node < len(self._versions):
             raise KeyError(f"unknown node {node}")
         return self._versions[node]
@@ -114,8 +124,8 @@ class DirectoryStore:
         """Create the next node id with its first version."""
         node = len(self._versions)
         first = NodeVersion(node, 1, quality, is_dir, children, created_at)
-        self._versions.append([first])
-        self._total_versions += 1
+        self._versions.append((first,))
+        self._by_decile[int(quality * 10)] += 1
         return first
 
     def add_version(
@@ -126,11 +136,18 @@ class DirectoryStore:
         if not 1 <= node < len(nodes):
             raise KeyError(f"unknown node {node}")
         versions = nodes[node]
+        n = len(versions) + 1
+        numbers = self._numbers
+        if n == len(numbers):  # the first node to reach n versions
+            numbers.append(n)
         fresh = NodeVersion(
-            node, len(versions) + 1, quality, versions[0].is_dir, children, created_at
+            node, numbers[n], quality, versions[0].is_dir, children, created_at
         )
-        versions.append(fresh)
-        self._total_versions += 1
+        if n == 2:
+            nodes[node] = [versions[0], fresh]
+        else:
+            versions.append(fresh)
+        self._by_decile[int(quality * 10)] += 1
         return fresh
 
 
@@ -145,7 +162,7 @@ def init_control_tree(store: DirectoryStore) -> None:
 
 
 def pick_popular(
-    versions: list[NodeVersion], counts: Mapping[int, int], rng: random.Random
+    versions: Sequence[NodeVersion], counts: Mapping[int, int], rng: random.Random
 ) -> NodeVersion:
     """Uniform choice among the versions with the highest viewer count.
 

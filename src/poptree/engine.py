@@ -404,11 +404,13 @@ def _run_forked(
     A worker's exception is re-raised here with its type and message.  A
     worker that exits without a result is a RuntimeError.  Whatever is
     raised, no worker outlives this call: those not yet collected are
-    killed and reaped.
+    killed and reaped.  A worker whose caller is killed outright exits
+    before its next realization.
     """
     import pickle
     import signal
 
+    caller = os.getpid()
     workers: dict[int, int] = {}  # pid -> read end of its pipe, in block order
     try:
         for block in blocks[:-1]:
@@ -420,7 +422,7 @@ def _run_forked(
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _worker(config, snapshot_interval, block, read_fd, write_fd)
+                _worker(config, snapshot_interval, block, caller, read_fd, write_fd)
             os.close(write_fd)
             workers[pid] = read_fd
         own = [run_single(config, k, snapshot_interval) for k in blocks[-1]]
@@ -448,18 +450,27 @@ def _run_forked(
 
 
 def _worker(
-    config: SimConfig, snapshot_interval: int, block: range, read_fd: int, write_fd: int
+    config: SimConfig, snapshot_interval: int, block: range, caller: int, read_fd: int, write_fd: int
 ) -> None:
     """The forked side of `_run_forked`: run `block`, write `(True, series)`
     or `(False, exception)` to the pipe and leave through `os._exit`, so no
-    cleanup or exit hook of the calling process runs twice."""
+    cleanup or exit hook of the calling process runs twice.
+
+    Before each realization it checks that `caller`, the pid of the process
+    that forked it, is still its parent.  Once the caller is gone, nobody
+    reads the pipe, so it exits at once and writes nothing."""
     status = 1
     try:
         import pickle
 
         os.close(read_fd)
         try:
-            reply = (True, [run_single(config, k, snapshot_interval) for k in block])
+            series = []
+            for k in block:
+                if os.getppid() != caller:
+                    os._exit(1)
+                series.append(run_single(config, k, snapshot_interval))
+            reply = (True, series)
         except BaseException as exc:
             if hasattr(exc, "add_note"):  # Python 3.11+: keep the worker's traceback
                 import traceback

@@ -126,7 +126,8 @@ def _config_dict(bundle: ResultBundle) -> dict:
 def bundle_dir(spec: ExperimentSpec, bundle: ResultBundle) -> Path:
     """Where one sweep point's files live: the out dir itself, or a
     param=value subdirectory when sweeping."""
-    assert spec.out_dir is not None
+    if spec.out_dir is None:
+        raise ValueError("the experiment spec has no out_dir to write to")
     if bundle.sweep_value is None:
         return spec.out_dir
     param = spec.sweep[0]  # type: ignore[index]
@@ -156,7 +157,8 @@ def write_outputs(spec: ExperimentSpec, bundles: list[ResultBundle], config: boo
     """Write the resolved spec as config.json (unless `config` is false),
     then every given sweep point's files.  Each file is written whole to a
     temp file and renamed into place."""
-    assert spec.out_dir is not None
+    if spec.out_dir is None:
+        raise ValueError("the experiment spec has no out_dir to write to")
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     if config:
         _write_whole(spec.out_dir / "config.json", _write_config_json, spec)

@@ -132,17 +132,16 @@ def viewers_by_quality(
     store: DirectoryStore, index: PopularityIndex
 ) -> list[QualityBucket]:
     """Mean viewers per version, bucketed by quality decile.  Every version
-    counts, viewed or not; viewers are summed from each node's viewed
-    versions, so unviewed versions cost no lookup.  A quality is below 1
+    counts, viewed or not: the store counts them per decile as it creates
+    them.  Viewers are summed over the viewed nodes' viewed versions, so
+    unviewed nodes and versions cost no lookup.  A quality is below 1
     (NodeVersion checks it), and quality * 10 then rounds to below 10, so
     int(quality * 10) is the decile, 0 to 9."""
-    versions = [0] * 10
+    versions = store.versions_by_decile
     viewers = [0] * 10
     viewed_versions = index.viewed_versions
-    for node in range(1, store.node_count + 1):
+    for node in index.viewed_nodes():
         node_versions = store.versions_of(node)
-        for v in node_versions:
-            versions[int(v.quality * 10)] += 1
         for version, count in viewed_versions(node):
             viewers[int(node_versions[version - 1].quality * 10)] += count
     return [

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from itertools import compress, count
+from typing import Sequence
 
 from .directory import DirectoryStore, NodeVersion, pick_popular
 
@@ -85,7 +86,7 @@ class PopularityIndex:
         return compress(count(), self._totals)
 
     def popular(
-        self, node: int, versions: list[NodeVersion], rng: random.Random
+        self, node: int, versions: Sequence[NodeVersion], rng: random.Random
     ) -> NodeVersion:
         """The version of `node` a newcomer views: the same pick, with the
         same draws, as `pick_popular(versions, counts_for(node), rng)`.
@@ -222,7 +223,8 @@ class PeerPopulation:
         self.store = store
         self.index = PopularityIndex(majority_count)
         self._prefs: list[dict[int, int]] = [{} for _ in range(n_peers)]
-        # the store's per-node version lists, read directly by the walk
+        # the store's per-node version sequences, read directly by the walk;
+        # a node's slot is re-read at each visit, since add_version may replace it
         self._node_versions = store._versions
 
     def preference(self, peer: int, node: int) -> int | None:

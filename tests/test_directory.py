@@ -14,6 +14,7 @@ from poptree.directory import (
     main_tree,
     sample_quality,
 )
+from poptree.engine import SimConfig, Simulation
 from poptree.peers import PeerPopulation, PopularityIndex
 from support import ScriptedRandom
 
@@ -137,6 +138,39 @@ def test_add_version_extends_one_node():
     assert len(store.versions_of(1)) == 2
     assert store.version(1, 2) is v2
     assert store.total_versions == 2
+
+
+def test_a_one_version_node_keeps_a_tuple_and_its_second_version_makes_a_list():
+    store = DirectoryStore()
+    v1 = store.add_node(True, 0.4, created_at=0)
+    assert store.versions_of(1) == (v1,)  # a tuple never equals a list
+    v2 = store.add_version(1, 0.8, (), created_at=1)
+    assert v2.version == 2
+    assert store.versions_of(1) == [v1, v2]
+
+
+def test_version_numbers_are_shared_between_nodes():
+    store = DirectoryStore()
+    for _ in range(2):
+        node = store.add_node(True, 0.4, created_at=0).node
+        for t in range(299):
+            store.add_version(node, 0.4, (), created_at=t)
+    first, second = store.version(1, 300), store.version(2, 300)
+    assert first.version == 300
+    assert first.version is second.version
+
+
+def test_decile_counts_equal_a_recount_after_a_churned_run():
+    sim = Simulation(SimConfig(n_peers=8, p_leave=0.3, seed=21))
+    for _ in range(3000):
+        sim.step()
+    store = sim.store
+    recount = [0] * 10
+    for node in range(1, store.node_count + 1):
+        for v in store.versions_of(node):
+            recount[int(v.quality * 10)] += 1
+    assert store.versions_by_decile == recount
+    assert sum(recount) == store.total_versions > 1500
 
 
 def test_versions_share_their_nodes_kind():

@@ -4,7 +4,12 @@ import gc
 import math
 import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -935,3 +940,59 @@ def test_a_worker_that_exits_without_a_result_is_an_error(two_cpus, monkeypatch,
         run(CFG_2, snapshot_interval=100, jobs=2)
     assert_no_child_left()
     assert gc.isenabled()
+
+
+def process_state(pid):
+    """The state letter of `pid` in /proc/<pid>/stat, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs fork and /proc")
+def test_a_worker_whose_caller_is_killed_starts_no_further_realization(tmp_path):
+    # two processes in all: a caller that forks one worker for realizations
+    # 0 and 1, and runs 2 and 3 itself; each start is logged as "<pid> <k>"
+    log = tmp_path / "started.log"
+    log.touch()
+    src = Path(engine.__file__).resolve().parents[1]
+    script = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from poptree import engine\n"
+        "engine.available_cpus = lambda: 2\n"
+        "original = engine.run_single\n"
+        "def run_single(config, k, snapshot_interval):\n"
+        f"    with open({str(log)!r}, 'a') as handle:\n"
+        "        handle.write(f'{os.getpid()} {k}\\n')\n"
+        "    return original(config, k, snapshot_interval)\n"
+        "engine.run_single = run_single\n"
+        "engine.run(engine.SimConfig(t_max=30_000, realizations=4), jobs=2)\n"
+    )
+    deadline = time.monotonic() + 60
+    caller = subprocess.Popen([sys.executable, "-I", "-c", script])
+    worker = None
+    try:
+        while worker is None:
+            assert time.monotonic() < deadline, "the worker never started realization 0"
+            assert caller.poll() is None, "the caller exited before its worker started"
+            text = log.read_text()
+            for line in text[: text.rfind("\n") + 1].splitlines():  # whole lines
+                pid, k = line.split()
+                if int(pid) != caller.pid and k == "0":
+                    worker = int(pid)
+            time.sleep(0.005)
+        caller.kill()
+        caller.wait(timeout=60)
+        while process_state(worker) not in (None, "Z"):
+            assert time.monotonic() < deadline, "the orphaned worker is still running"
+            time.sleep(0.01)
+    finally:
+        if caller.poll() is None:
+            caller.kill()
+            caller.wait(timeout=60)
+        if worker is not None and process_state(worker) not in (None, "Z"):
+            os.kill(worker, signal.SIGKILL)
+    assert f"{worker} 1" not in log.read_text().splitlines()

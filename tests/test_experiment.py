@@ -308,6 +308,17 @@ def test_a_write_that_fails_half_way_leaves_no_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "series.csv"]
 
 
+@pytest.mark.parametrize(
+    "write",
+    [lambda spec: export.write_outputs(spec, []), lambda spec: export.bundle_dir(spec, None)],
+    ids=["write_outputs", "bundle_dir"],
+)
+def test_writing_without_an_out_dir_is_a_value_error(write):
+    # a check that raises, not an assert, so it holds under python -O too
+    with pytest.raises(ValueError, match="out_dir"):
+        write(ExperimentSpec())
+
+
 def test_jobs_are_checked_before_anything_is_written(tmp_path):
     spec = ExperimentSpec(base=FAST, out_dir=tmp_path / "out", snapshot_interval=100)
     with pytest.raises(ValueError, match="jobs"):
