@@ -3,8 +3,8 @@
 Node `i` has versions `1..n_i`, each an immutable record of quality, kind
 and child links.  Child links reference node ids, not versions: a version
 names which nodes it indexes, and every viewer resolves each child to a
-version by popularity on their own.  File nodes are leaves and never
-carry links.
+version by popularity on their own.  File nodes are leaves: they never
+carry links and keep their one version.
 
 Also houses the quality law applied when versions are created, and the
 extraction of the "main tree" that a preference-free newcomer would end
@@ -14,8 +14,9 @@ up browsing.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 
 def sample_quality(s: float, rng: random.Random) -> float:
@@ -40,16 +41,12 @@ def expected_quality_fraction(lo: float, hi: float, s: float) -> float:
 
 
 class NodeVersion:
-    """Immutable snapshot of one published version of a node."""
+    """Immutable record of one published version of a node, built by the
+    store on demand; the store's columns are the only stored state."""
 
     __slots__ = ("node", "version", "quality", "is_dir", "children", "created_at")
 
     def __init__(self, node, version, quality, is_dir, children, created_at):
-        if not 0.0 <= quality < 1.0:
-            raise ValueError("quality must be in [0, 1)")
-        children = tuple(children)
-        if not is_dir and children:
-            raise ValueError("file versions cannot carry child links")
         self.node = node
         self.version = version
         self.quality = quality
@@ -82,73 +79,106 @@ class NodeVersion:
 
 class DirectoryStore:
     """Append-only store of nodes and their versions; node ids start at 1
-    and node 1 is the root."""
+    and node 1 is the root.
+
+    No object is kept per version.  Each version gets an id `g` in creation
+    order, and columns indexed by `g` hold its quality, creation step, node
+    and child tuple (None for a file).  `_first[node]` is the id of the
+    node's version 1, and `_later[node]` the ids of its versions 2, 3, ...,
+    for the nodes that have them.  `version` and `versions_of` build
+    NodeVersion records when asked.
+    """
 
     def __init__(self):
-        # a node's versions: a 1-tuple until its second version, then an
-        # exact-size list that grows by append; slot 0 is unused
-        self._versions: list[Sequence[NodeVersion]] = [()]
-        self._numbers = [0, 1]  # version n of every node is the int _numbers[n]
-        self._by_decile = [0] * 10  # versions created per quality decile
+        self._quality = array("d")
+        self._created = array("q")
+        self._node = array("q")
+        self._children: list[tuple[int, ...] | None] = []
+        self._first = array("q", (0,))  # slot 0 is unused
+        self._later: dict[int, array] = {}
 
     @property
     def node_count(self) -> int:
-        return len(self._versions) - 1
+        return len(self._first) - 1
 
     @property
     def total_versions(self) -> int:
-        return sum(self._by_decile)
+        return len(self._quality)
 
     @property
     def versions_by_decile(self) -> list[int]:
-        """Versions created with quality in [b/10, (b+1)/10), for b = 0..9."""
-        return list(self._by_decile)
+        """Versions created with quality in [b/10, (b+1)/10), for b = 0..9.
+        A quality is below 1, and quality * 10 then rounds to below 10."""
+        counts = [0] * 10
+        for q in self._quality:
+            counts[int(q * 10)] += 1
+        return counts
 
-    def versions_of(self, node: int) -> Sequence[NodeVersion]:
-        """All versions of `node`, oldest first, as a read-only sequence.
-        A later `add_version` may replace it instead of extending it, so
-        hold on to the node id, not the sequence."""
-        if not 1 <= node < len(self._versions):
+    def version_count(self, node: int) -> int:
+        """How many versions `node` has."""
+        if not 1 <= node < len(self._first):
             raise KeyError(f"unknown node {node}")
-        return self._versions[node]
+        later = self._later.get(node)
+        return 1 if later is None else len(later) + 1
+
+    def id_of(self, node: int, version: int) -> int:
+        """The id of version `version` of `node`."""
+        if not 1 <= node < len(self._first):
+            raise KeyError(f"unknown node {node}")
+        if version == 1:
+            return self._first[node]
+        later = self._later.get(node, ())
+        if not 2 <= version <= len(later) + 1:
+            raise KeyError(f"node {node} has no version {version}")
+        return later[version - 2]
 
     def version(self, node: int, version: int) -> NodeVersion:
-        versions = self.versions_of(node)
-        if not 1 <= version <= len(versions):
-            raise KeyError(f"node {node} has no version {version}")
-        return versions[version - 1]
-
-    def add_node(
-        self, is_dir: bool, quality: float, created_at: int, children=()
-    ) -> NodeVersion:
-        """Create the next node id with its first version."""
-        node = len(self._versions)
-        first = NodeVersion(node, 1, quality, is_dir, children, created_at)
-        self._versions.append((first,))
-        self._by_decile[int(quality * 10)] += 1
-        return first
-
-    def add_version(
-        self, node: int, quality: float, children, created_at: int
-    ) -> NodeVersion:
-        """Publish a further version of an existing node (same kind)."""
-        nodes = self._versions
-        if not 1 <= node < len(nodes):
-            raise KeyError(f"unknown node {node}")
-        versions = nodes[node]
-        n = len(versions) + 1
-        numbers = self._numbers
-        if n == len(numbers):  # the first node to reach n versions
-            numbers.append(n)
-        fresh = NodeVersion(
-            node, numbers[n], quality, versions[0].is_dir, children, created_at
+        g = self.id_of(node, version)
+        children = self._children[g]
+        return NodeVersion(
+            node, version, self._quality[g], children is not None, children or (), self._created[g]
         )
-        if n == 2:
-            nodes[node] = [versions[0], fresh]
-        else:
-            versions.append(fresh)
-        self._by_decile[int(quality * 10)] += 1
-        return fresh
+
+    def versions_of(self, node: int) -> tuple[NodeVersion, ...]:
+        """All versions of `node`, oldest first."""
+        return tuple(self.version(node, j) for j in range(1, self.version_count(node) + 1))
+
+    def _append(self, node: int, quality: float, children, created_at: int) -> int:
+        """Store one version in every column and return its id; a rejected
+        version leaves every column unchanged."""
+        if not 0.0 <= quality < 1.0:
+            raise ValueError("quality must be in [0, 1)")
+        self._created.append(created_at)  # the append that rejects a non-int step
+        self._quality.append(quality)
+        self._node.append(node)
+        self._children.append(children)
+        return len(self._children) - 1
+
+    def add_node(self, is_dir: bool, quality: float, created_at: int, children=()) -> int:
+        """Create the next node id with its first version; return the id."""
+        children = tuple(children)
+        if not is_dir:
+            if children:
+                raise ValueError("file versions cannot carry child links")
+            children = None
+        node = len(self._first)
+        self._first.append(self._append(node, quality, children, created_at))
+        return node
+
+    def add_version(self, node: int, quality: float, children, created_at: int) -> int:
+        """Publish a further version of an existing directory node; return
+        its version number."""
+        if not 1 <= node < len(self._first):
+            raise KeyError(f"unknown node {node}")
+        if self._children[self._first[node]] is None:
+            raise ValueError("a file node takes no further version")
+        g = self._append(node, quality, tuple(children), created_at)
+        later = self._later.get(node)
+        if later is None:
+            self._later[node] = array("q", (g,))
+            return 2
+        later.append(g)
+        return len(later) + 1
 
 
 def init_control_tree(store: DirectoryStore) -> None:
@@ -161,10 +191,9 @@ def init_control_tree(store: DirectoryStore) -> None:
         store.add_node(is_dir=True, quality=0.5, created_at=0)
 
 
-def pick_popular(
-    versions: Sequence[NodeVersion], counts: Mapping[int, int], rng: random.Random
-) -> NodeVersion:
-    """Uniform choice among the versions with the highest viewer count.
+def pick_popular(n_versions: int, counts: Mapping[int, int], rng: random.Random) -> int:
+    """Uniform choice among the versions with the highest viewer count, as a
+    version number of a node with `n_versions` versions.
 
     With no viewers at all, every version ties at zero and the choice is
     uniform over all of them.  A single candidate is taken without
@@ -173,11 +202,10 @@ def pick_popular(
     if counts:
         top = max(counts.values())
         ties = [j for j, c in counts.items() if c == top]
-        j = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
-        return versions[j - 1]
-    if len(versions) == 1:
-        return versions[0]
-    return versions[rng.randrange(len(versions))]
+        return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+    if n_versions == 1:
+        return 1
+    return rng.randrange(n_versions) + 1
 
 
 class MainTree:
@@ -226,7 +254,7 @@ def main_tree(store: DirectoryStore, index, rng: random.Random) -> MainTree:
         node = queue.popleft()
         if node in nodes:  # defensive; the node structure is a tree
             continue
-        chosen = index.popular(node, store.versions_of(node), rng)
+        chosen = store.version(node, index.popular(node, store.version_count(node), rng))
         nodes[node] = chosen
         queue.extend(chosen.children)
     return MainTree(nodes)

@@ -19,13 +19,7 @@ import random
 from dataclasses import dataclass
 from math import expm1, log, log1p
 
-from .directory import (
-    DirectoryStore,
-    NodeVersion,
-    init_control_tree,
-    main_tree,
-    sample_quality,
-)
+from .directory import DirectoryStore, init_control_tree, main_tree, sample_quality
 from .peers import PeerPopulation
 from . import metrics as _metrics
 
@@ -100,15 +94,16 @@ class SimConfig:
 
 
 class TraversalRecord:
-    """What one walk did: the directory versions occupied (root first in
-    the default walk), their mean out-degree, and the update, if any."""
+    """What one walk did: the ids of the directory versions occupied (root
+    first in the default walk), their mean out-degree, and the node
+    updated, if any."""
 
     __slots__ = ("peer", "path", "mean_degree", "updated")
 
     def __init__(
         self,
         peer: int,
-        path: list[NodeVersion],
+        path: list[int],
         mean_degree: float,
         updated: int | None,
     ):
@@ -202,8 +197,8 @@ class Simulation:
         uniform pick among the most viewed versions), and re-picks in
         proportion to viewer counts on a failed quality test.
 
-        The path holds the directory versions finally occupied at each
-        position, the occupied root version included, and the degree sum
+        The path holds the ids of the directory versions finally occupied
+        at each position, the occupied root version included, and the degree sum
         counts those same versions, so deviated-from versions never
         contribute.
 
@@ -228,11 +223,12 @@ class Simulation:
         updated = None
         if self.rng.random() < cfg.p_update:
             self.apply_update(target, peer)
-            updated = target.node
+            updated = self.store._node[target]
         return TraversalRecord(peer, path, mean_degree, updated)
 
-    def apply_update(self, target: NodeVersion, peer: int) -> NodeVersion:
-        """Publish a new version of target's node as `peer`.
+    def apply_update(self, target: int, peer: int) -> int:
+        """Publish a new version of the node of version id `target` as
+        `peer`, and return its version number.
 
         The new version copies the target's links and rolls a fresh
         quality.  It then either drops one link chosen uniformly (an
@@ -240,13 +236,13 @@ class Simulation:
         add) or attaches a brand-new node, file or directory.  The updater
         becomes the first viewer of everything it just created.
         """
-        if not target.is_dir:
+        store = self.store
+        children = store._children[target]
+        if children is None:
             raise ValueError("only directory versions can be updated")
         cfg = self.config
         rng = self.rng
-        store = self.store
-        node = target.node
-        children = target.children
+        node = store._node[target]
         quality = sample_quality(cfg.s, rng)
         new_child = None
         if rng.random() > cfg.p_add and children:
@@ -258,13 +254,13 @@ class Simulation:
         else:
             child_is_dir = rng.random() > cfg.p_file
             new_child = store.add_node(child_is_dir, sample_quality(cfg.s, rng), self.t)
-            children = children + (new_child.node,)
-        fresh = store.add_version(node, quality, children, self.t)
+            children = children + (new_child,)
+        version = store.add_version(node, quality, children, self.t)
         self.updates_performed += 1
-        self.peers.set_preference(peer, node, fresh.version)
+        self.peers.set_preference(peer, node, version)
         if new_child is not None:
-            self.peers.set_preference(peer, new_child.node, 1)
-        return fresh
+            self.peers.set_preference(peer, new_child, 1)
+        return version
 
 
 def check_snapshot_interval(snapshot_interval: int) -> None:

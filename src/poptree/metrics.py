@@ -111,9 +111,10 @@ def degree_histogram(
     draws as `pick_popular` but needs no scan for a node with a known
     leader.  Nodes go in id order, so tie draws come in a fixed order."""
     histogram: dict[int, int] = {}
+    children = store._children
     for node in index.viewed_nodes():
-        representative = index.popular(node, store.versions_of(node), rng)
-        degree = len(representative.children)
+        j = index.popular(node, store.version_count(node), rng)
+        degree = len(children[store.id_of(node, j)] or ())  # a file has degree 0
         histogram[degree] = histogram.get(degree, 0) + 1
     return histogram
 
@@ -132,18 +133,19 @@ def viewers_by_quality(
     store: DirectoryStore, index: PopularityIndex
 ) -> list[QualityBucket]:
     """Mean viewers per version, bucketed by quality decile.  Every version
-    counts, viewed or not: the store counts them per decile as it creates
-    them.  Viewers are summed over the viewed nodes' viewed versions, so
-    unviewed nodes and versions cost no lookup.  A quality is below 1
-    (NodeVersion checks it), and quality * 10 then rounds to below 10, so
+    counts, viewed or not: the store counts its quality column per decile.
+    Viewers are summed over the viewed nodes' viewed versions, so unviewed
+    nodes and versions cost no lookup.  A quality is below 1 (the store
+    checks it), and quality * 10 then rounds to below 10, so
     int(quality * 10) is the decile, 0 to 9."""
     versions = store.versions_by_decile
     viewers = [0] * 10
+    quality = store._quality
+    id_of = store.id_of
     viewed_versions = index.viewed_versions
     for node in index.viewed_nodes():
-        node_versions = store.versions_of(node)
         for version, count in viewed_versions(node):
-            viewers[int(node_versions[version - 1].quality * 10)] += count
+            viewers[int(quality[id_of(node, version)] * 10)] += count
     return [
         QualityBucket(b / 10, (b + 1) / 10, versions[b], viewers[b]) for b in range(10)
     ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from itertools import compress, count
-from typing import Sequence
 
 from .directory import DirectoryStore, NodeVersion, pick_popular
 
@@ -85,11 +84,10 @@ class PopularityIndex:
         """The viewed nodes in id order, lazily: no total may change meanwhile."""
         return compress(count(), self._totals)
 
-    def popular(
-        self, node: int, versions: Sequence[NodeVersion], rng: random.Random
-    ) -> NodeVersion:
-        """The version of `node` a newcomer views: the same pick, with the
-        same draws, as `pick_popular(versions, counts_for(node), rng)`.
+    def popular(self, node: int, n_versions: int, rng: random.Random) -> int:
+        """The version of `node` a newcomer views, out of its `n_versions`:
+        the same pick, with the same draws, as `pick_popular(n_versions,
+        counts_for(node), rng)`.
 
         A known leader is returned without a scan.  Otherwise the counts
         are scanned, and a unique top becomes the leader.
@@ -97,18 +95,18 @@ class PopularityIndex:
         leaders = self._leader
         leader = leaders[node] if node < len(leaders) else 0
         if leader:
-            return versions[leader - 1]
+            return leader
         counts = self._counts.get(node)
         if not counts:
-            return pick_popular(versions, _EMPTY, rng)
+            return pick_popular(n_versions, _EMPTY, rng)
         top = max(counts.values())
         ties = [j for j, c in counts.items() if c == top]
         if len(ties) > 1:
             self._bound[node] = top
-            return versions[ties[rng.randrange(len(ties))] - 1]
+            return ties[rng.randrange(len(ties))]
         leader = leaders[node] = ties[0]
         self._bound[node] = max([c for c in counts.values() if c != top], default=0)
-        return versions[leader - 1]
+        return leader
 
     def _grow(self, node: int) -> None:
         extra = [0] * (node + _GROW_CHUNK - len(self._totals))
@@ -223,9 +221,6 @@ class PeerPopulation:
         self.store = store
         self.index = PopularityIndex(majority_count)
         self._prefs: list[dict[int, int]] = [{} for _ in range(n_peers)]
-        # the store's per-node version sequences, read directly by the walk;
-        # a node's slot is re-read at each visit, since add_version may replace it
-        self._node_versions = store._versions
 
     def preference(self, peer: int, node: int) -> int | None:
         return self._prefs[peer].get(node)
@@ -256,25 +251,14 @@ class PeerPopulation:
         This is the single-node API.  `walk` inlines the same pick, and
         the tests hold it to a walk built on this method.
         """
-        nodes = self._node_versions
-        if not 0 < node < len(nodes):
-            raise KeyError(f"unknown node {node}")
-        versions = nodes[node]
+        n_versions = self.store.version_count(node)
         prefs = self._prefs[peer]
         j = prefs.get(node)
-        if j is not None:
-            return versions[j - 1]
-        index = self.index
-        leaders = index._leader
-        j = leaders[node] if node < len(leaders) else 0
-        if j:  # the known leader: what the scan would pick, without a draw
-            chosen = versions[j - 1]
-        else:
-            chosen = index.popular(node, versions, rng)
-            j = chosen.version
-        prefs[node] = j  # a fresh preference: no old count to move
-        index.increment(node, j)
-        return chosen
+        if j is None:
+            index = self.index
+            j = prefs[node] = index.popular(node, n_versions, rng)
+            index.increment(node, j)  # a fresh preference: no old count to move
+        return self.store.version(node, j)
 
     def select(self, node: int, peer: int, rng: random.Random) -> NodeVersion:
         """Re-pick a version of `node` with probability proportional to its
@@ -286,10 +270,7 @@ class PeerPopulation:
         This is the single-node API.  `walk` inlines the same re-pick, and
         the tests hold it to a walk built on this method.
         """
-        nodes = self._node_versions
-        if not 0 < node < len(nodes):
-            raise KeyError(f"unknown node {node}")
-        versions = nodes[node]
+        n_versions = self.store.version_count(node)
         index = self.index
         counts = index.counts_for(node)
         # _randbelow(n) is randrange(n) for an int n >= 1, with the same draw
@@ -299,10 +280,10 @@ class PeerPopulation:
                 r -= c
                 if r < 0:
                     break
-        elif len(versions) == 1:
+        elif n_versions == 1:
             j = 1
         else:
-            j = rng._randbelow(len(versions)) + 1
+            j = rng._randbelow(n_versions) + 1
         prefs = self._prefs[peer]
         old = prefs.get(node)
         if old != j:  # what set_preference does, without the call
@@ -311,14 +292,14 @@ class PeerPopulation:
                 index.increment(node, j)
             else:
                 index.move(node, old, j)
-        return versions[j - 1]
+        return self.store.version(node, j)
 
     def walk(
         self, peer: int, rng: random.Random, literal: bool = False
-    ) -> tuple[list[NodeVersion], int]:
-        """Walk from the root to a leaf as `peer`; return the directory
-        versions finally occupied at each position, the root's included,
-        and the sum of their out-degrees.
+    ) -> tuple[list[int], int]:
+        """Walk from the root to a leaf as `peer`; return the ids of the
+        directory versions finally occupied at each position, the root's
+        included, and the sum of their out-degrees.
 
         At each node the peer views as `viewing` does, takes the quality
         test with one `rng.random()` draw and, on failure, re-picks as
@@ -332,7 +313,12 @@ class PeerPopulation:
         """
         random_draw = rng.random
         getrandbits = rng.getrandbits
-        node_versions = self._node_versions
+        # the store's columns, read directly
+        store = self.store
+        quality = store._quality
+        children_of = store._children
+        first = store._first
+        later = store._later
         prefs = self._prefs[peer]
         index = self.index
         counts_of = index._counts
@@ -346,22 +332,18 @@ class PeerPopulation:
         degree = viewed_degree = 0
         node = 1
         while True:
-            versions = node_versions[node]
             j = prefs.get(node)
             if j is None:  # the default view, which becomes the preference
                 j = leaders[node] if node < len(leaders) else 0
-                if j:  # the known leader: what the scan would pick, without a draw
-                    current = versions[j - 1]
-                else:
-                    current = index.popular(node, versions, rng)
-                    j = current.version
+                if not j:  # no known leader: scan, as popular does
+                    more = later.get(node)
+                    j = index.popular(node, 1 if more is None else len(more) + 1, rng)
                 prefs[node] = j
                 increment(node, j)
-            else:
-                current = versions[j - 1]
-            if literal:
-                viewed_degree += len(current.children)
-            if random_draw() >= current.quality:  # the quality test also applies to files
+            g = first[node] if j == 1 else later[node][j - 2]
+            if literal and children_of[g]:
+                viewed_degree += len(children_of[g])
+            if random_draw() >= quality[g]:  # the quality test also applies to files
                 # the peer's own view keeps the node's counts non-empty, so
                 # select's uniform fallback cannot arise here
                 n = totals[node]
@@ -378,12 +360,12 @@ class PeerPopulation:
                     if k != j:
                         prefs[node] = k
                         move(node, j, k)
-                        current = versions[k - 1]
-            if not current.is_dir:
+                        g = first[node] if k == 1 else later[node][k - 2]
+            children = children_of[g]
+            if children is None:  # a file
                 break
-            children = current.children
             n = len(children)
-            append(current)
+            append(g)
             degree += n
             if n > 1:
                 bits = n.bit_length()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from poptree.directory import pick_popular
+from bisect import bisect_left
+
+from poptree.directory import NodeVersion, pick_popular
 from poptree.engine import Simulation, TraversalRecord, choose_update_index
 from poptree.namespace import Namespace, view
 from poptree.peers import PeerPopulation
@@ -111,10 +113,86 @@ def reference_traverse(sim: Simulation, peer: int) -> TraversalRecord:
     target = path[choose_update_index(mean_degree, len(path), p) if degree else 0]
     updated = None
     if rng.random() < cfg.p_update:
-        sim.apply_update(target, peer)
+        sim.apply_update(sim.store.id_of(target.node, target.version), peer)
         updated = target.node
-    return TraversalRecord(peer, path, mean_degree, updated)
+    ids = [sim.store.id_of(v.node, v.version) for v in path]
+    return TraversalRecord(peer, ids, mean_degree, updated)
 
+
+def records(store, ids) -> list[NodeVersion]:
+    """The records of the versions with the ids in `ids`, in order.  A
+    node's later ids ascend, so a bisection finds each version number."""
+    found = []
+    for g in ids:
+        node = store._node[g]
+        j = 1 if store._first[node] == g else bisect_left(store._later[node], g) + 2
+        assert store.id_of(node, j) == g
+        found.append(store.version(node, j))
+    return found
+
+
+# --- object reference store ------------------------------------------------------
+#
+# The directory store as it was before it went columnar: one immutable
+# NodeVersion per stored version, in a list per node.  Its one addition is
+# the columnar store's rule that a file node takes no second version.
+# test_directory.py holds the columnar store to it call for call.
+
+
+class ObjectStore:
+    def __init__(self):
+        self._versions: list[list[NodeVersion]] = [[]]
+        self._by_decile = [0] * 10
+
+    @property
+    def node_count(self):
+        return len(self._versions) - 1
+
+    @property
+    def total_versions(self):
+        return sum(self._by_decile)
+
+    @property
+    def versions_by_decile(self):
+        return list(self._by_decile)
+
+    def versions_of(self, node):
+        if not 1 <= node < len(self._versions):
+            raise KeyError(f"unknown node {node}")
+        return tuple(self._versions[node])
+
+    def version(self, node, version):
+        versions = self.versions_of(node)
+        if not 1 <= version <= len(versions):
+            raise KeyError(f"node {node} has no version {version}")
+        return versions[version - 1]
+
+    @staticmethod
+    def _record(node, version, quality, is_dir, children, created_at):
+        if not 0.0 <= quality < 1.0:
+            raise ValueError("quality must be in [0, 1)")
+        children = tuple(children)
+        if not is_dir and children:
+            raise ValueError("file versions cannot carry child links")
+        return NodeVersion(node, version, quality, is_dir, children, created_at)
+
+    def add_node(self, is_dir, quality, created_at, children=()):
+        node = len(self._versions)
+        first = self._record(node, 1, quality, is_dir, children, created_at)
+        self._versions.append([first])
+        self._by_decile[int(quality * 10)] += 1
+        return node
+
+    def add_version(self, node, quality, children, created_at):
+        versions = self._versions[node] if 1 <= node < len(self._versions) else None
+        if versions is None:
+            raise KeyError(f"unknown node {node}")
+        if not versions[0].is_dir:
+            raise ValueError("a file node takes no further version")
+        fresh = self._record(node, len(versions) + 1, quality, True, children, created_at)
+        versions.append(fresh)
+        self._by_decile[int(quality * 10)] += 1
+        return fresh.version
 
 
 # --- dense reference index -------------------------------------------------------
@@ -140,22 +218,22 @@ class DenseIndex:
     def counts_for(self, node):
         return self._counts.get(node, {})
 
-    def popular(self, node, versions, rng):
+    def popular(self, node, n_versions, rng):
         leaders = self._leader
         leader = leaders[node] if node < len(leaders) else 0
         if leader:
-            return versions[leader - 1]
+            return leader
         counts = self._counts.get(node)
         if not counts:
-            return pick_popular(versions, {}, rng)
+            return pick_popular(n_versions, {}, rng)
         top = max(counts.values())
         ties = [j for j, c in counts.items() if c == top]
         if len(ties) > 1:
             self._bound[node] = top
-            return versions[ties[rng.randrange(len(ties))] - 1]
+            return ties[rng.randrange(len(ties))]
         leader = leaders[node] = ties[0]
         self._bound[node] = max([c for c in counts.values() if c != top], default=0)
-        return versions[leader - 1]
+        return leader
 
     def increment(self, node, version):
         if node >= len(self._totals):

@@ -16,6 +16,7 @@ from poptree.directory import sample_quality
 from poptree.engine import SimConfig, Simulation, choose_update_index, run
 from poptree.experiment import ExperimentSpec, run_experiment
 from poptree.namespace import Namespace, ValueRecord, digest
+from support import records
 
 CONTROL = SimConfig()  # N=100, s=1, p_update=.5, p_add=.75, p_file=.5, p_leave=0
 S_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -196,8 +197,9 @@ def test_criterion_10_structural_invariants_over_a_control_run(report):
             v = store.version(node, j)
             assert (v.quality, v.children, v.is_dir, v.created_at) == fingerprint
         for node in range(1, store.node_count + 1):
-            versions = store.versions_of(node)
-            for v in versions[version_cursor.get(node, 0) :]:
+            count = store.version_count(node)
+            for j in range(version_cursor.get(node, 0) + 1, count + 1):
+                v = store.version(node, j)
                 fingerprints[(node, v.version)] = (
                     v.quality,
                     v.children,
@@ -206,7 +208,7 @@ def test_criterion_10_structural_invariants_over_a_control_run(report):
                 )
                 for child in v.children:
                     parents.setdefault(child, set()).add(node)
-            version_cursor[node] = len(versions)
+            version_cursor[node] = count
         # parent uniqueness over the full node-level link structure
         for node in range(2, store.node_count + 1):
             assert len(parents.get(node, ())) == 1, f"node {node} parents"
@@ -222,7 +224,8 @@ def test_criterion_10_structural_invariants_over_a_control_run(report):
     for _ in range(blocks):
         for _ in range(1000):
             record = sim.step()
-            assert all(v.is_dir for v in record.path), "file version on an update path"
+            path = records(sim.store, record.path)
+            assert all(v.is_dir for v in path), "file version on an update path"
         check_block()
     report(
         "10 structural-invariants",

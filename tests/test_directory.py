@@ -1,8 +1,11 @@
 """Directory store, quality law, and main-tree extraction."""
 
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from poptree.directory import (
@@ -16,7 +19,7 @@ from poptree.directory import (
 )
 from poptree.engine import SimConfig, Simulation
 from poptree.peers import PeerPopulation, PopularityIndex
-from support import ScriptedRandom
+from support import ObjectStore, ScriptedRandom
 
 S_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -125,7 +128,7 @@ def test_store_assigns_sequential_node_ids():
     store = DirectoryStore()
     first = store.add_node(True, 0.4, created_at=0)
     second = store.add_node(False, 0.2, created_at=3)
-    assert (first.node, second.node) == (1, 2)
+    assert (first, second) == (1, 2)
     assert store.node_count == 2
     assert store.total_versions == 2
 
@@ -133,31 +136,38 @@ def test_store_assigns_sequential_node_ids():
 def test_add_version_extends_one_node():
     store = DirectoryStore()
     store.add_node(True, 0.4, created_at=0)
-    v2 = store.add_version(1, 0.8, (2,), created_at=5)
-    assert (v2.node, v2.version) == (1, 2)
+    assert store.add_version(1, 0.8, (2,), created_at=5) == 2
     assert len(store.versions_of(1)) == 2
-    assert store.version(1, 2) is v2
+    assert store.version(1, 2) == NodeVersion(1, 2, 0.8, True, (2,), 5)
     assert store.total_versions == 2
 
 
-def test_a_one_version_node_keeps_a_tuple_and_its_second_version_makes_a_list():
+def test_a_one_version_node_has_no_later_entry_until_its_second_version():
     store = DirectoryStore()
-    v1 = store.add_node(True, 0.4, created_at=0)
-    assert store.versions_of(1) == (v1,)  # a tuple never equals a list
-    v2 = store.add_version(1, 0.8, (), created_at=1)
-    assert v2.version == 2
-    assert store.versions_of(1) == [v1, v2]
+    store.add_node(True, 0.4, created_at=0)
+    store.add_node(True, 0.4, created_at=0)
+    assert store._later == {}
+    assert store.add_version(2, 0.8, (), created_at=1) == 2
+    assert list(store._later) == [2]
+    assert list(store._later[2]) == [store.id_of(2, 2)] == [2]
+    assert store.version_count(1) == 1 and store.version_count(2) == 2
 
 
-def test_version_numbers_are_shared_between_nodes():
-    store = DirectoryStore()
-    for _ in range(2):
-        node = store.add_node(True, 0.4, created_at=0).node
-        for t in range(299):
-            store.add_version(node, 0.4, (), created_at=t)
-    first, second = store.version(1, 300), store.version(2, 300)
-    assert first.version == 300
-    assert first.version is second.version
+def node_versions_alive():
+    return sum(type(o) is NodeVersion for o in gc.get_objects())
+
+
+def test_a_stepped_control_run_keeps_no_node_version_objects():
+    # the walk and the updates read and write columns only; a record is
+    # built when asked for, and none is kept.  Records other tests left
+    # behind are counted first.
+    gc.collect()
+    alive = node_versions_alive()
+    sim = Simulation(SimConfig(seed=42))
+    for _ in range(3000):
+        sim.step()
+    assert sim.store.total_versions == 2726
+    assert node_versions_alive() == alive
 
 
 def test_decile_counts_equal_a_recount_after_a_churned_run():
@@ -174,12 +184,20 @@ def test_decile_counts_equal_a_recount_after_a_churned_run():
 
 
 def test_versions_share_their_nodes_kind():
+    # a directory's later versions are directories; a file node takes no
+    # links and no later version
     store = DirectoryStore()
     store.add_node(False, 0.4, created_at=0)  # a file node
-    v2 = store.add_version(1, 0.1, (), created_at=1)
-    assert not v2.is_dir
+    assert store.version(1, 1) == NodeVersion(1, 1, 0.4, False, (), 0)
+    store.add_node(True, 0.4, created_at=0)
+    store.add_version(2, 0.1, (), created_at=1)
+    assert store.version(2, 2).is_dir
+    for children in ((), (5,)):
+        with pytest.raises(ValueError):
+            store.add_version(1, 0.1, children, created_at=1)
     with pytest.raises(ValueError):
-        store.add_version(1, 0.1, (5,), created_at=2)  # file with links
+        store.add_node(False, 0.4, created_at=0, children=(1,))
+    assert store.total_versions == 3 and store.node_count == 2
 
 
 def test_unknown_node_lookups_raise():
@@ -194,10 +212,72 @@ def test_unknown_node_lookups_raise():
 
 
 def test_node_version_validation():
+    # the store checks each version as it appends it; a rejected version
+    # leaves every column as it was
+    store = DirectoryStore()
     with pytest.raises(ValueError):
-        NodeVersion(1, 1, 1.0, True, (), 0)  # quality must stay below 1
+        store.add_node(True, 1.0, created_at=0)  # quality must stay below 1
     with pytest.raises(ValueError):
-        NodeVersion(1, 1, 0.5, False, (2,), 0)
+        store.add_node(False, 0.5, created_at=0, children=(2,))
+    store.add_node(True, 0.5, created_at=0)
+    with pytest.raises(ValueError):
+        store.add_version(1, 1.0, (), created_at=0)
+    with pytest.raises(KeyError):
+        store.add_version(2, 0.5, (), created_at=0)
+    assert_columns_agree(store)
+    assert store.total_versions == 1 and store._later == {}
+
+
+def assert_columns_agree(store):
+    n = store.total_versions
+    assert len(store._quality) == len(store._created) == len(store._node) == n
+    assert len(store._children) == n
+    assert store.node_count + sum(len(ids) for ids in store._later.values()) == n
+
+
+# each call is (kind, node pick, quality, children pick); the picks select
+# among the nodes that exist, plus one unknown id, and qualities include 1.0
+store_calls = st.lists(
+    st.tuples(
+        st.sampled_from(["dir", "file", "version"]),
+        st.integers(0, 50),
+        st.sampled_from([0.0, 0.05, 0.5, 0.95, 0.999, 1.0]),
+        st.integers(0, 3),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(store_calls)
+def test_columnar_store_matches_the_object_store(calls):
+    store, reference = DirectoryStore(), ObjectStore()
+    for step, (kind, pick, quality, n_children) in enumerate(calls):
+        node = pick % (store.node_count + 1) + 1  # node_count + 1 is unknown
+        children = tuple(range(2, 2 + n_children))
+        if kind == "version":
+            args = (node, quality, children, step)
+            outcomes = [call(store.add_version, args), call(reference.add_version, args)]
+        else:
+            args = (kind == "dir", quality, step, children)
+            outcomes = [call(store.add_node, args), call(reference.add_node, args)]
+        assert outcomes[0] == outcomes[1]
+        assert store.node_count == reference.node_count
+        assert store.total_versions == reference.total_versions
+        assert store.versions_by_decile == reference.versions_by_decile
+        for n in range(1, store.node_count + 1):
+            assert store.versions_of(n) == reference.versions_of(n)
+            for j in range(1, len(reference.versions_of(n)) + 1):
+                assert store.version(n, j) == reference.version(n, j)
+        assert_columns_agree(store)
+
+
+def call(method, args):
+    """What `method(*args)` returned, or the type of what it raised."""
+    try:
+        return method(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc)
 
 
 # --- main tree -------------------------------------------------------------

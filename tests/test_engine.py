@@ -30,9 +30,15 @@ from support import (
     ScriptedRandom,
     assert_sparse_rule,
     namespace_of,
+    records,
     reference_step,
     reference_traverse,
 )
+
+
+def path_of(sim, record):
+    """(node, version) of each entry of `record.path`."""
+    return [(v.node, v.version) for v in records(sim.store, record.path)]
 
 # --- choose_update_index ----------------------------------------------------
 
@@ -213,7 +219,7 @@ def test_traverse_hand_trace_on_initial_tree():
     # update-position draw, update-decision draw (no update).
     sim.rng = ScriptedRandom(randoms=[0.3, 0.4, 0.0, 0.9], randranges=[1])
     record = sim.traverse(0)
-    assert [(v.node, v.version) for v in record.path] == [(1, 1), (3, 1)]
+    assert path_of(sim, record) == [(1, 1), (3, 1)]
     assert record.mean_degree == 1.5
     assert record.updated is None
     assert sim.rng.exhausted()
@@ -226,7 +232,7 @@ def test_traverse_childless_root_path_of_one():
     sim.peers.set_preference(5, 1, 2)
     sim.rng = ScriptedRandom(randoms=[0.3, 0.5, 0.9])  # keep, position, no update
     record = sim.traverse(5)
-    assert [(v.node, v.version) for v in record.path] == [(1, 2)]
+    assert path_of(sim, record) == [(1, 2)]
     assert record.mean_degree == 0.0
     assert sim.rng.exhausted()
 
@@ -269,8 +275,8 @@ def test_quality_draws_below_q_never_deviate(monkeypatch):
     )
     for _ in range(100):
         record = sim.traverse(0)
-        for v in record.path:
-            assert sim.peers.preference(0, v.node) == v.version
+        for node, version in path_of(sim, record):
+            assert sim.peers.preference(0, node) == version
     assert move_calls == []
 
 
@@ -278,11 +284,12 @@ def test_traverse_record_invariants_over_a_run():
     sim = Simulation(SimConfig(n_peers=10, p_file=0.9, seed=7))
     for _ in range(600):
         record = sim.step()
-        assert record.path, "default walk always includes the root"
-        assert all(v.is_dir for v in record.path)
-        degree_sum = sum(len(v.children) for v in record.path)
-        assert record.mean_degree == degree_sum / len(record.path)
-        assert record.path[0].node == 1
+        path = records(sim.store, record.path)
+        assert path, "default walk always includes the root"
+        assert all(v.is_dir for v in path)
+        degree_sum = sum(len(v.children) for v in path)
+        assert record.mean_degree == degree_sum / len(path)
+        assert path[0].node == 1
 
 
 # --- literal pseudocode variant ----------------------------------------------
@@ -292,7 +299,7 @@ def test_literal_trace_excludes_root_from_path():
     sim = Simulation(SimConfig(literal_traversal=True))
     sim.rng = ScriptedRandom(randoms=[0.3, 0.4, 0.0, 0.9], randranges=[1])
     record = sim.traverse(0)
-    assert [(v.node, v.version) for v in record.path] == [(3, 1)]
+    assert path_of(sim, record) == [(3, 1)]
     assert record.mean_degree == 3.0  # the root's degree still counts
     assert sim.rng.exhausted()
 
@@ -330,7 +337,7 @@ def test_literal_walk_with_childless_first_views_updates_its_first_entry(travers
         randranges=[0, 0, 2],
     )
     record = traverse(sim, 1)
-    assert [(v.node, v.version) for v in record.path] == [(2, 2), (5, 1)]
+    assert path_of(sim, record) == [(2, 2), (5, 1)]
     assert record.mean_degree == 0.0
     assert record.updated == 2  # index 0, the d -> 0+ limit of the staircase
     assert sim.rng.exhausted()
@@ -346,11 +353,16 @@ def test_literal_variant_changes_the_trajectory():
 # --- updates ------------------------------------------------------------------
 
 
+def update(sim, node, version, peer):
+    """`sim.apply_update` on version `version` of `node`; the new record."""
+    fresh = sim.apply_update(sim.store.id_of(node, version), peer)
+    return sim.store.version(node, fresh)
+
+
 def test_update_delete_branch():
     sim = Simulation(SimConfig())
-    target = sim.store.version(1, 1)
     sim.rng = ScriptedRandom(randoms=[0.42, 0.9], randranges=[0])
-    fresh = sim.apply_update(target, peer=1)
+    fresh = update(sim, 1, 1, peer=1)
     assert fresh.version == 2
     assert fresh.children == (3, 4)  # dropped the first link
     assert fresh.quality == 0.42
@@ -363,9 +375,8 @@ def test_update_delete_branch():
 
 def test_update_add_directory_branch():
     sim = Simulation(SimConfig())
-    target = sim.store.version(1, 1)
     sim.rng = ScriptedRandom(randoms=[0.42, 0.3, 0.7, 0.55])
-    fresh = sim.apply_update(target, peer=1)
+    fresh = update(sim, 1, 1, peer=1)
     assert fresh.children == (2, 3, 4, 5)
     child = sim.store.version(5, 1)
     assert child.is_dir and child.quality == 0.55
@@ -378,7 +389,7 @@ def test_update_add_directory_branch():
 def test_update_add_file_branch():
     sim = Simulation(SimConfig())
     sim.rng = ScriptedRandom(randoms=[0.42, 0.3, 0.2, 0.55])
-    sim.apply_update(sim.store.version(1, 1), peer=2)
+    update(sim, 1, 1, peer=2)
     child = sim.store.version(5, 1)
     assert not child.is_dir
     assert child.children == ()
@@ -386,9 +397,9 @@ def test_update_add_file_branch():
 
 def test_update_without_links_falls_through_to_add():
     sim = Simulation(SimConfig())
-    target = sim.store.version(2, 1)  # childless leaf directory
+    # node 2 is a childless leaf directory
     sim.rng = ScriptedRandom(randoms=[0.42, 0.95, 0.7, 0.55])
-    fresh = sim.apply_update(target, peer=1)
+    fresh = update(sim, 2, 1, peer=1)
     assert fresh.children == (5,)
     assert sim.store.node_count == 5
 
@@ -396,25 +407,25 @@ def test_update_without_links_falls_through_to_add():
 def test_update_copies_links_from_the_target_version():
     sim = Simulation(SimConfig())
     sim.rng = ScriptedRandom(randoms=[0.42, 0.3, 0.7, 0.55])
-    sim.apply_update(sim.store.version(1, 1), peer=1)  # v2: (2, 3, 4, 5)
+    update(sim, 1, 1, peer=1)  # v2: (2, 3, 4, 5)
     sim.rng = ScriptedRandom(randoms=[0.13, 0.3, 0.7, 0.55])
-    fresh = sim.apply_update(sim.store.version(1, 1), peer=2)  # from v1, not v2
+    fresh = update(sim, 1, 1, peer=2)  # from v1, not v2
     assert fresh.children == (2, 3, 4, 6)
 
 
 def test_update_rejects_file_targets():
     sim = Simulation(SimConfig())
     sim.rng = ScriptedRandom(randoms=[0.42, 0.3, 0.2, 0.55])
-    sim.apply_update(sim.store.version(1, 1), peer=2)  # adds file node 5
+    update(sim, 1, 1, peer=2)  # adds file node 5
     with pytest.raises(ValueError):
-        sim.apply_update(sim.store.version(5, 1), peer=2)
+        update(sim, 5, 1, peer=2)
 
 
 def test_update_single_link_delete_empties_the_version():
     sim = Simulation(SimConfig())
     sim.store.add_version(1, 0.5, (2,), created_at=0)
     sim.rng = ScriptedRandom(randoms=[0.42, 0.9])
-    fresh = sim.apply_update(sim.store.version(1, 2), peer=1)
+    fresh = update(sim, 1, 2, peer=1)
     assert fresh.children == ()
 
 
@@ -721,7 +732,7 @@ def version_fields(store):
     """Every stored version's fields, node by node, oldest first."""
     return [
         [(v.node, v.version, v.quality, v.is_dir, v.children, v.created_at) for v in versions]
-        for versions in store._versions[1:]
+        for versions in map(store.versions_of, range(1, store.node_count + 1))
     ]
 
 
@@ -744,16 +755,15 @@ def test_update_sequences_outside_the_walk(n_peers, p_add, p_file, seed, updates
     store, peers = sim.store, sim.peers
     for node_pick, version_pick, peer in updates:
         directories = [
-            node for node in range(1, store.node_count + 1) if store.versions_of(node)[0].is_dir
+            node for node in range(1, store.node_count + 1) if store.version(node, 1).is_dir
         ]
         node = directories[node_pick % len(directories)]
-        versions = store.versions_of(node)
-        target = versions[version_pick % len(versions)]
+        target = store.version(node, version_pick % store.version_count(node) + 1)
         peer %= n_peers
         before = version_fields(store)
         node_count = store.node_count
 
-        fresh = sim.apply_update(target, peer)
+        fresh = update(sim, node, target.version, peer)
 
         assert_index_matches_preferences(sim)
         assert (fresh.node, fresh.is_dir) == (node, True)
@@ -778,7 +788,7 @@ def test_update_sequences_outside_the_walk(n_peers, p_add, p_file, seed, updates
 def walk_state(sim):
     """Everything a step writes: preferences and index in dict order, the
     store, the counters and the RNG."""
-    index = sim.index
+    index, store = sim.index, sim.store
     return (
         [list(prefs.items()) for prefs in sim.peers._prefs],
         [(node, list(counts.items())) for node, counts in index._counts.items()],
@@ -787,7 +797,12 @@ def walk_state(sim):
         index._totals,
         index._crossings,
         index.viewed_node_count,
-        sim.store._versions,
+        store._quality,
+        store._created,
+        store._node,
+        store._children,
+        store._first,
+        store._later,
         sim.t,
         sim.updates_performed,
         sim.rng.getstate(),
@@ -829,9 +844,7 @@ def assert_steps_match_the_reference(config, steps):
     for _ in range(steps):
         record, expected = fused.step(), reference_step(reference)
         assert record.peer == expected.peer
-        assert [(v.node, v.version) for v in record.path] == [
-            (v.node, v.version) for v in expected.path
-        ]
+        assert record.path == expected.path
         assert record.mean_degree == expected.mean_degree
         assert record.updated == expected.updated
         assert walk_state(fused) == walk_state(reference)

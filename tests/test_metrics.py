@@ -51,7 +51,7 @@ def test_snapshot_after_one_add_update_enumerates_both_outcomes():
     # 5-node one depending on the tie-break.
     sim = Simulation(SimConfig(n_peers=2))
     sim.rng = ScriptedRandom(randoms=[0.6, 0.3, 0.7, 0.8])  # force the add branch
-    sim.apply_update(sim.store.version(1, 1), peer=1)
+    sim.apply_update(sim.store.id_of(1, 1), peer=1)
     sizes = {4: 0, 5: 0}
     trials = 1000
     for trial in range(trials):
@@ -205,7 +205,8 @@ def test_histograms_equal_a_recount_by_the_reference_scan():
     for node in range(1, store.node_count + 1):
         counts = index.counts_for(node)
         if counts:
-            degree = len(pick_popular(store.versions_of(node), counts, reference_rng).children)
+            j = pick_popular(store.version_count(node), counts, reference_rng)
+            degree = len(store.version(node, j).children)
             degrees[degree] = degrees.get(degree, 0) + 1
     versions, viewers = [0] * 10, [0] * 10
     for node in range(1, store.node_count + 1):

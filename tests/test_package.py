@@ -61,6 +61,19 @@ def test_benchmark_worker_runs_a_tiny_experiment(tmp_path, mode):
         # extraction (t=0, 100, 200, 300): steps_per_s is cut at these marks,
         # so a run that stops stepping through Simulation.step fails here
         assert len(result["marks_s"]) == 300 // 32 + 4
+    if mode == "traced":
+        # the per-layer metrics count calls through the names the worker
+        # wraps, so a hot path routed around one of them fails here instead
+        # of reading 0 in a benchmark run
+        boundaries = result["trace"]["boundaries"]
+        for name in (
+            "engine.step",
+            "engine.apply_update",
+            "directory.add_node",
+            "directory.add_version",
+            "peers.index.increment",
+        ):
+            assert boundaries[name]["calls"] > 0, name
 
 
 def test_a_run_does_not_load_the_namespace_model():
