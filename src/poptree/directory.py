@@ -82,19 +82,24 @@ class DirectoryStore:
     and node 1 is the root.
 
     No object is kept per version.  Each version gets an id `g` in creation
-    order, and columns indexed by `g` hold its quality, creation step, node
-    and child tuple (None for a file).  `_first[node]` is the id of the
-    node's version 1, and `_later[node]` the ids of its versions 2, 3, ...,
-    for the nodes that have them.  `version` and `versions_of` build
+    order, and columns indexed by `g` hold its quality (`array('d')`),
+    creation step (`array('i')`) and child tuple (None for a file).
+    `_first[node]` is the id of the node's version 1, and `_later[node]`
+    the ids of its versions 2, 3, ..., for the nodes that have them (both
+    `array('i')`).  No column maps an id back to its node: callers reach a
+    version through its node.  `version` and `versions_of` build
     NodeVersion records when asked.
+
+    Ids and steps are 4-byte ints, so an append past 2**31 - 1 raises
+    OverflowError; `SimConfig` bounds `t_max` below that, and 2**31
+    versions would take hundreds of GB.
     """
 
     def __init__(self):
         self._quality = array("d")
-        self._created = array("q")
-        self._node = array("q")
+        self._created = array("i")
         self._children: list[tuple[int, ...] | None] = []
-        self._first = array("q", (0,))  # slot 0 is unused
+        self._first = array("i", (0,))  # slot 0 is unused
         self._later: dict[int, array] = {}
 
     @property
@@ -143,14 +148,13 @@ class DirectoryStore:
         """All versions of `node`, oldest first."""
         return tuple(self.version(node, j) for j in range(1, self.version_count(node) + 1))
 
-    def _append(self, node: int, quality: float, children, created_at: int) -> int:
+    def _append(self, quality: float, children, created_at: int) -> int:
         """Store one version in every column and return its id; a rejected
         version leaves every column unchanged."""
         if not 0.0 <= quality < 1.0:
             raise ValueError("quality must be in [0, 1)")
-        self._created.append(created_at)  # the append that rejects a non-int step
+        self._created.append(created_at)  # the append that rejects a bad step
         self._quality.append(quality)
-        self._node.append(node)
         self._children.append(children)
         return len(self._children) - 1
 
@@ -162,7 +166,7 @@ class DirectoryStore:
                 raise ValueError("file versions cannot carry child links")
             children = None
         node = len(self._first)
-        self._first.append(self._append(node, quality, children, created_at))
+        self._first.append(self._append(quality, children, created_at))
         return node
 
     def add_version(self, node: int, quality: float, children, created_at: int) -> int:
@@ -172,10 +176,10 @@ class DirectoryStore:
             raise KeyError(f"unknown node {node}")
         if self._children[self._first[node]] is None:
             raise ValueError("a file node takes no further version")
-        g = self._append(node, quality, tuple(children), created_at)
+        g = self._append(quality, tuple(children), created_at)
         later = self._later.get(node)
         if later is None:
-            self._later[node] = array("q", (g,))
+            self._later[node] = array("i", (g,))
             return 2
         later.append(g)
         return len(later) + 1

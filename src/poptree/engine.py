@@ -40,6 +40,8 @@ def derive_seed(base_seed: int, stream: str) -> int:
 
 _INT_FIELDS = ("n_peers", "t_max", "seed", "realizations")
 _FLOAT_FIELDS = ("s", "p_update", "p_add", "p_file", "p_leave")
+# the directory store keeps creation steps as 4-byte ints
+_MAX_STEP = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,17 @@ class SimConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.t_max < 0:
-            raise ValueError("t_max must be >= 0")
+        if not 0 <= self.t_max <= _MAX_STEP:
+            raise ValueError(f"t_max must be in [0, 2**31 - 1], got {self.t_max!r}")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
 
 
 class TraversalRecord:
-    """What one walk did: the ids of the directory versions occupied (root
-    first in the default walk), their mean out-degree, and the node
-    updated, if any."""
+    """What one walk did: the directory nodes it occupied (root first in
+    the default walk), the mean out-degree of the versions it occupied
+    there, and the node updated, if any.  The peer's preference at each
+    path node is the version it occupied."""
 
     __slots__ = ("peer", "path", "mean_degree", "updated")
 
@@ -197,10 +200,11 @@ class Simulation:
         uniform pick among the most viewed versions), and re-picks in
         proportion to viewer counts on a failed quality test.
 
-        The path holds the ids of the directory versions finally occupied
-        at each position, the occupied root version included, and the degree sum
-        counts those same versions, so deviated-from versions never
-        contribute.
+        The path holds the directory nodes occupied, the root included,
+        and the degree sum counts the versions finally occupied there, so
+        deviated-from versions never contribute.  The walk leaves the
+        peer's preference at each path node on the version it occupied,
+        so the update target's version is read from that preference.
 
         With `literal_traversal` the walk follows the pseudocode instead:
         degrees are counted for the versions as first viewed (before any
@@ -222,13 +226,13 @@ class Simulation:
         target = path[choose_update_index(mean_degree, len(path), p) if degree else 0]
         updated = None
         if self.rng.random() < cfg.p_update:
-            self.apply_update(target, peer)
-            updated = self.store._node[target]
+            self.apply_update(target, self.peers._prefs[peer][target], peer)
+            updated = target
         return TraversalRecord(peer, path, mean_degree, updated)
 
-    def apply_update(self, target: int, peer: int) -> int:
-        """Publish a new version of the node of version id `target` as
-        `peer`, and return its version number.
+    def apply_update(self, node: int, version: int, peer: int) -> int:
+        """Publish a new version of `node`, derived from its version
+        `version`, as `peer`, and return the new version number.
 
         The new version copies the target's links and rolls a fresh
         quality.  It then either drops one link chosen uniformly (an
@@ -237,12 +241,14 @@ class Simulation:
         becomes the first viewer of everything it just created.
         """
         store = self.store
-        children = store._children[target]
+        if node < 1 or version < 1:  # a negative index would name another version
+            raise KeyError(f"node {node} has no version {version}")
+        g = store._first[node] if version == 1 else store._later[node][version - 2]
+        children = store._children[g]
         if children is None:
             raise ValueError("only directory versions can be updated")
         cfg = self.config
         rng = self.rng
-        node = store._node[target]
         quality = sample_quality(cfg.s, rng)
         new_child = None
         if rng.random() > cfg.p_add and children:
@@ -255,12 +261,12 @@ class Simulation:
             child_is_dir = rng.random() > cfg.p_file
             new_child = store.add_node(child_is_dir, sample_quality(cfg.s, rng), self.t)
             children = children + (new_child,)
-        version = store.add_version(node, quality, children, self.t)
+        fresh = store.add_version(node, quality, children, self.t)
         self.updates_performed += 1
-        self.peers.set_preference(peer, node, version)
+        self.peers.set_preference(peer, node, fresh)
         if new_child is not None:
             self.peers.set_preference(peer, new_child, 1)
-        return version
+        return fresh
 
 
 def check_snapshot_interval(snapshot_interval: int) -> None:

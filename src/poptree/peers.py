@@ -297,9 +297,11 @@ class PeerPopulation:
     def walk(
         self, peer: int, rng: random.Random, literal: bool = False
     ) -> tuple[list[int], int]:
-        """Walk from the root to a leaf as `peer`; return the ids of the
-        directory versions finally occupied at each position, the root's
-        included, and the sum of their out-degrees.
+        """Walk from the root to a leaf as `peer`; return the directory
+        nodes occupied, the root included, and the sum of the out-degrees
+        of the versions finally occupied there.  Depth only grows, so no
+        node appears twice, and the peer's preference at each path node is
+        the version it occupied: a re-pick rewrites the preference.
 
         At each node the peer views as `viewing` does, takes the quality
         test with one `rng.random()` draw and, on failure, re-picks as
@@ -365,7 +367,7 @@ class PeerPopulation:
             if children is None:  # a file
                 break
             n = len(children)
-            append(g)
+            append(node)
             degree += n
             if n > 1:
                 bits = n.bit_length()

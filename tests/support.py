@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from poptree.directory import NodeVersion, pick_popular
 from poptree.engine import Simulation, TraversalRecord, choose_update_index
 from poptree.namespace import Namespace, view
@@ -113,22 +111,17 @@ def reference_traverse(sim: Simulation, peer: int) -> TraversalRecord:
     target = path[choose_update_index(mean_degree, len(path), p) if degree else 0]
     updated = None
     if rng.random() < cfg.p_update:
-        sim.apply_update(sim.store.id_of(target.node, target.version), peer)
+        sim.apply_update(target.node, target.version, peer)
         updated = target.node
-    ids = [sim.store.id_of(v.node, v.version) for v in path]
-    return TraversalRecord(peer, ids, mean_degree, updated)
+    return TraversalRecord(peer, [v.node for v in path], mean_degree, updated)
 
 
-def records(store, ids) -> list[NodeVersion]:
-    """The records of the versions with the ids in `ids`, in order.  A
-    node's later ids ascend, so a bisection finds each version number."""
-    found = []
-    for g in ids:
-        node = store._node[g]
-        j = 1 if store._first[node] == g else bisect_left(store._later[node], g) + 2
-        assert store.id_of(node, j) == g
-        found.append(store.version(node, j))
-    return found
+def records(store, preferences, nodes) -> list[NodeVersion]:
+    """The records of the versions that `preferences` (node -> version)
+    names at `nodes`, in order.  After a walk, a walker's preferences name
+    the versions it occupied, but for the node it then updated, whose
+    preference moves to the new version."""
+    return [store.version(node, preferences[node]) for node in nodes]
 
 
 # --- object reference store ------------------------------------------------------

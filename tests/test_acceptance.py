@@ -175,9 +175,8 @@ def test_criterion_09_quality_above_mean_for_every_s(s_runs, report):
 
 def test_criterion_10_structural_invariants_over_a_control_run(report):
     sim = Simulation(replace(CONTROL, realizations=1))
-    fingerprints: dict[tuple[int, int], tuple] = {}
     parents: dict[int, set[int]] = {}
-    version_cursor: dict[int, int] = {}
+    previous: dict = {}  # copies of the store's columns at the previous block
 
     def check_block():
         store, peers, index = sim.store, sim.peers, sim.index
@@ -191,24 +190,29 @@ def test_criterion_10_structural_invariants_over_a_control_run(report):
         assert indexed == recomputed
         for node, per_node in recomputed.items():
             assert sum(per_node.values()) <= peers.n_peers
-        # immutability: every previously fingerprinted version is unchanged,
-        # then fold in versions created since the last block
-        for (node, j), fingerprint in fingerprints.items():
-            v = store.version(node, j)
-            assert (v.quality, v.children, v.is_dir, v.created_at) == fingerprint
-        for node in range(1, store.node_count + 1):
-            count = store.version_count(node)
-            for j in range(version_cursor.get(node, 0) + 1, count + 1):
-                v = store.version(node, j)
-                fingerprints[(node, v.version)] = (
-                    v.quality,
-                    v.children,
-                    v.is_dir,
-                    v.created_at,
-                )
-                for child in v.children:
-                    parents.setdefault(child, set()).add(node)
-            version_cursor[node] = count
+        # immutability: every column still starts with what it held at the
+        # previous block, so no stored version, and no node's version
+        # numbering, changed
+        columns = {
+            "quality": store._quality,
+            "created": store._created,
+            "children": store._children,
+            "first": store._first,
+            **{("later", node): ids for node, ids in store._later.items()},
+        }
+        for name, old in previous.items():
+            assert columns[name][: len(old)] == old, f"column {name} changed"
+        # fold the links of versions created since the last block into the
+        # node-level link structure
+        known_nodes = len(previous.get("first", (0,)))
+        fresh = [(node, store._first[node]) for node in range(known_nodes, len(store._first))]
+        for node, ids in store._later.items():
+            fresh.extend((node, g) for g in ids[len(previous.get(("later", node), ())) :])
+        for node, g in fresh:
+            for child in store._children[g] or ():
+                parents.setdefault(child, set()).add(node)
+        previous.clear()
+        previous.update((name, column[:]) for name, column in columns.items())
         # parent uniqueness over the full node-level link structure
         for node in range(2, store.node_count + 1):
             assert len(parents.get(node, ())) == 1, f"node {node} parents"
@@ -224,7 +228,9 @@ def test_criterion_10_structural_invariants_over_a_control_run(report):
     for _ in range(blocks):
         for _ in range(1000):
             record = sim.step()
-            path = records(sim.store, record.path)
+            # the walker's preferences name the versions it occupied, or the
+            # new version of the node it updated, a directory as well
+            path = records(sim.store, sim.peers.preferences_of(record.peer), record.path)
             assert all(v.is_dir for v in path), "file version on an update path"
         check_block()
     report(

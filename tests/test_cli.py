@@ -80,6 +80,7 @@ def test_a_repeated_sweep_value_is_a_usage_error(argv, message, capsys):
         (["--sweep", "bogus", ","], "unknown sweep parameter 'bogus'"),
         (["--sweep", "n_peers", ","], "sweep needs at least one value"),
         (["--sweep", "n_peers", "10,1.5"], "sweep value for n_peers must be an integer, got '1.5'"),
+        (["--sweep", "t_max", "10,2147483648"], "t_max must be in [0, 2**31 - 1], got 2147483648"),
     ],
 )
 def test_a_sweep_usage_error_names_its_first_fault(argv, message, capsys):
@@ -120,7 +121,8 @@ def test_broken_config_file_is_a_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config", [{"config": {"n_peer": 10}}, {"config": {"s": float("nan")}}]
+    "config",
+    [{"config": {"n_peer": 10}}, {"config": {"s": float("nan")}}, {"config": {"t_max": 2**31}}],
 )
 def test_invalid_config_file_is_a_usage_error(tmp_path, capsys, config):
     bad = tmp_path / "bad.json"

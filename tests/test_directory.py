@@ -170,6 +170,22 @@ def test_a_stepped_control_run_keeps_no_node_version_objects():
     assert node_versions_alive() == alive
 
 
+def test_integer_columns_hold_4_byte_items():
+    # ids and creation steps stay below 2**31 (SimConfig bounds t_max), and
+    # no column maps a version id back to its node
+    sim = Simulation(SimConfig(seed=42))
+    for _ in range(3000):
+        sim.step()
+    store = sim.store
+    assert store._later  # some nodes have a second version
+    for column in (store._created, store._first, *store._later.values()):
+        assert column.itemsize == 4
+    assert not hasattr(store, "_node")
+    with pytest.raises(OverflowError):
+        store.add_node(True, 0.5, created_at=2**31)
+    assert_columns_agree(store)
+
+
 def test_decile_counts_equal_a_recount_after_a_churned_run():
     sim = Simulation(SimConfig(n_peers=8, p_leave=0.3, seed=21))
     for _ in range(3000):
@@ -230,7 +246,7 @@ def test_node_version_validation():
 
 def assert_columns_agree(store):
     n = store.total_versions
-    assert len(store._quality) == len(store._created) == len(store._node) == n
+    assert len(store._quality) == len(store._created) == n
     assert len(store._children) == n
     assert store.node_count + sum(len(ids) for ids in store._later.values()) == n
 

@@ -37,8 +37,12 @@ from support import (
 
 
 def path_of(sim, record):
-    """(node, version) of each entry of `record.path`."""
-    return [(v.node, v.version) for v in records(sim.store, record.path)]
+    """(node, version) of each entry of `record.path`, read from the
+    walker's preferences: the versions it occupied, on a walk that updated
+    nothing."""
+    assert record.updated is None
+    prefs = sim.peers.preferences_of(record.peer)
+    return [(v.node, v.version) for v in records(sim.store, prefs, record.path)]
 
 # --- choose_update_index ----------------------------------------------------
 
@@ -188,6 +192,12 @@ def test_config_rejects_non_finite_floats(kwargs):
         SimConfig(**kwargs)
 
 
+def test_config_bounds_t_max_by_the_4_byte_step_column():
+    with pytest.raises(ValueError, match=r"t_max must be in \[0, 2\*\*31 - 1\], got 2147483648"):
+        SimConfig(t_max=2**31)
+    assert SimConfig(t_max=2**31 - 1).t_max == 2**31 - 1
+
+
 def test_config_accepts_ints_for_float_fields():
     assert SimConfig(s=2, p_leave=0).s == 2
 
@@ -275,16 +285,29 @@ def test_quality_draws_below_q_never_deviate(monkeypatch):
     )
     for _ in range(100):
         record = sim.traverse(0)
-        for node, version in path_of(sim, record):
-            assert sim.peers.preference(0, node) == version
+        # a re-pick would rewrite a preference, so the walk occupied v1 throughout
+        assert sim.peers.preferences_of(0) == {1: 1, 2: 1, 3: 1, 4: 1}
     assert move_calls == []
 
 
-def test_traverse_record_invariants_over_a_run():
+def test_traverse_record_invariants_over_a_run(monkeypatch):
     sim = Simulation(SimConfig(n_peers=10, p_file=0.9, seed=7))
+    targets = []
+    original = sim.apply_update
+
+    def apply_update(node, version, peer):
+        targets.append((node, version))
+        return original(node, version, peer)
+
+    monkeypatch.setattr(sim, "apply_update", apply_update)
     for _ in range(600):
         record = sim.step()
-        path = records(sim.store, record.path)
+        occupied = dict(sim.peers.preferences_of(record.peer))
+        if record.updated is not None:  # the version the update started from
+            node, version = targets.pop()
+            assert node == record.updated
+            occupied[node] = version
+        path = records(sim.store, occupied, record.path)
         assert path, "default walk always includes the root"
         assert all(v.is_dir for v in path)
         degree_sum = sum(len(v.children) for v in path)
@@ -337,9 +360,12 @@ def test_literal_walk_with_childless_first_views_updates_its_first_entry(travers
         randranges=[0, 0, 2],
     )
     record = traverse(sim, 1)
-    assert path_of(sim, record) == [(2, 2), (5, 1)]
+    assert record.path == [2, 5]
     assert record.mean_degree == 0.0
     assert record.updated == 2  # index 0, the d -> 0+ limit of the staircase
+    # the update copied the links of v2, the version occupied at node 2
+    assert store.version(2, 3).children == (5, 6)
+    assert peers.preference(1, 2) == 3
     assert sim.rng.exhausted()
 
 
@@ -355,7 +381,7 @@ def test_literal_variant_changes_the_trajectory():
 
 def update(sim, node, version, peer):
     """`sim.apply_update` on version `version` of `node`; the new record."""
-    fresh = sim.apply_update(sim.store.id_of(node, version), peer)
+    fresh = sim.apply_update(node, version, peer)
     return sim.store.version(node, fresh)
 
 
@@ -419,6 +445,16 @@ def test_update_rejects_file_targets():
     update(sim, 1, 1, peer=2)  # adds file node 5
     with pytest.raises(ValueError):
         update(sim, 5, 1, peer=2)
+
+
+@pytest.mark.parametrize("node, version", [(0, 1), (-1, 1), (5, 1), (1, 0), (1, -1), (1, 2)])
+def test_update_of_an_unknown_version_changes_nothing(node, version):
+    sim = Simulation(SimConfig())
+    sim.rng = ScriptedRandom()  # no draw either
+    with pytest.raises(LookupError):
+        sim.apply_update(node, version, peer=1)
+    assert (sim.store.node_count, sim.store.total_versions, sim.updates_performed) == (4, 4, 0)
+    assert sim.peers.preferences_of(1) == {}
 
 
 def test_update_single_link_delete_empties_the_version():
@@ -799,7 +835,6 @@ def walk_state(sim):
         index.viewed_node_count,
         store._quality,
         store._created,
-        store._node,
         store._children,
         store._first,
         store._later,

@@ -51,7 +51,7 @@ def test_snapshot_after_one_add_update_enumerates_both_outcomes():
     # 5-node one depending on the tie-break.
     sim = Simulation(SimConfig(n_peers=2))
     sim.rng = ScriptedRandom(randoms=[0.6, 0.3, 0.7, 0.8])  # force the add branch
-    sim.apply_update(sim.store.id_of(1, 1), peer=1)
+    sim.apply_update(1, 1, peer=1)
     sizes = {4: 0, 5: 0}
     trials = 1000
     for trial in range(trials):
