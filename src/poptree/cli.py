@@ -14,23 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .engine import check_jobs
+from .engine import SimConfig, check_jobs
 from .experiment import ExperimentSpec, run_experiment, spec_from_dict
-
-_CONFIG_FLAGS = {
-    "peers": "n_peers",
-    "s": "s",
-    "p_update": "p_update",
-    "p_add": "p_add",
-    "p_file": "p_file",
-    "p_leave": "p_leave",
-    "steps": "t_max",
-    "seed": "seed",
-    "realizations": "realizations",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,13 +27,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate a popularity-governed, multi-version shared directory tree.",
     )
     parser.add_argument("--config", metavar="FILE", help="JSON experiment file to start from")
-    parser.add_argument("--peers", type=int, help="population size (default 100)")
+    # each SimConfig field's flag stores into the field's name
+    parser.add_argument(
+        "--peers", dest="n_peers", metavar="PEERS", type=int, help="population size (default 100)"
+    )
     parser.add_argument("--s", type=float, help="quality shape; mean quality is 1/(1+s)")
     parser.add_argument("--p-update", type=float, help="update probability per traversal")
     parser.add_argument("--p-add", type=float, help="probability an update adds rather than deletes a link")
     parser.add_argument("--p-file", type=float, help="probability an added node is a file")
     parser.add_argument("--p-leave", type=float, help="churn probability per chosen peer")
-    parser.add_argument("--steps", type=int, help="time steps per realization (default 100000)")
+    parser.add_argument(
+        "--steps",
+        dest="t_max",
+        metavar="STEPS",
+        type=int,
+        help="time steps per realization (default 100000)",
+    )
     parser.add_argument("--seed", type=int, help="base RNG seed")
     parser.add_argument("--realizations", type=int, help="independent runs to average (default 10)")
     parser.add_argument("--snapshot-interval", type=int, help="steps between snapshots (default 1000)")
@@ -66,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--literal-pseudocode",
+        dest="literal_traversal",
         action="store_true",
         default=None,
         help="use the pseudocode-faithful walk variant (root never updated)",
@@ -101,12 +99,10 @@ def _parse(argv: list[str] | None) -> tuple[ExperimentSpec, int | None]:
             parser.error(f"cannot load config {args.config}: {exc}")
 
     overrides = {
-        field: getattr(args, flag)
-        for flag, field in _CONFIG_FLAGS.items()
-        if getattr(args, flag) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(SimConfig)
+        if getattr(args, f.name) is not None
     }
-    if args.literal_pseudocode is not None:
-        overrides["literal_traversal"] = True
 
     sweep = spec.sweep
     if args.sweep is not None:

@@ -1,10 +1,11 @@
 """Versioned store of the simulated directory tree.
 
-Node `i` has versions `1..n_i`, each an immutable record of quality, kind
-and child links.  Child links reference node ids, not versions: a version
-names which nodes it indexes, and every viewer resolves each child to a
-version by popularity on their own.  File nodes are leaves: they never
-carry links and keep their one version.
+Node `i` has versions `1..n_i`, each with a quality, a kind and child
+links, kept in the store's columns; a `NodeVersion` is an immutable
+record of one version, built when asked for.  Child links reference node
+ids, not versions: a version names which nodes it indexes, and every
+viewer resolves each child to a version by popularity on their own.
+File nodes are leaves: they never carry links and keep their one version.
 
 Also houses the quality law applied when versions are created, and the
 extraction of the "main tree" that a preference-free newcomer would end
@@ -16,7 +17,8 @@ from __future__ import annotations
 import random
 from array import array
 from collections import deque
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 
 def sample_quality(s: float, rng: random.Random) -> float:
@@ -40,41 +42,16 @@ def expected_quality_fraction(lo: float, hi: float, s: float) -> float:
     return hi**inv - lo**inv
 
 
-class NodeVersion:
+class NodeVersion(NamedTuple):
     """Immutable record of one published version of a node, built by the
     store on demand; the store's columns are the only stored state."""
 
-    __slots__ = ("node", "version", "quality", "is_dir", "children", "created_at")
-
-    def __init__(self, node, version, quality, is_dir, children, created_at):
-        self.node = node
-        self.version = version
-        self.quality = quality
-        self.is_dir = is_dir
-        self.children = children
-        self.created_at = created_at
-
-    def __eq__(self, other):
-        if not isinstance(other, NodeVersion):
-            return NotImplemented
-        return (
-            self.node == other.node
-            and self.version == other.version
-            and self.quality == other.quality
-            and self.is_dir == other.is_dir
-            and self.children == other.children
-            and self.created_at == other.created_at
-        )
-
-    def __hash__(self):
-        return hash((self.node, self.version))
-
-    def __repr__(self):
-        kind = "dir" if self.is_dir else "file"
-        return (
-            f"NodeVersion({self.node}.{self.version} {kind} "
-            f"q={self.quality:.3f} children={self.children})"
-        )
+    node: int
+    version: int
+    quality: float
+    is_dir: bool
+    children: tuple[int, ...]
+    created_at: int
 
 
 class DirectoryStore:
@@ -195,29 +172,12 @@ def init_control_tree(store: DirectoryStore) -> None:
         store.add_node(is_dir=True, quality=0.5, created_at=0)
 
 
-def pick_popular(n_versions: int, counts: Mapping[int, int], rng: random.Random) -> int:
-    """Uniform choice among the versions with the highest viewer count, as a
-    version number of a node with `n_versions` versions.
-
-    With no viewers at all, every version ties at zero and the choice is
-    uniform over all of them.  A single candidate is taken without
-    consuming a random draw.
-    """
-    if counts:
-        top = max(counts.values())
-        ties = [j for j, c in counts.items() if c == top]
-        return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
-    if n_versions == 1:
-        return 1
-    return rng.randrange(n_versions) + 1
-
-
+@dataclass
 class MainTree:
     """The tree a newcomer with no preferences would browse: one version
     per reached node, chosen by popularity with random tie-breaks."""
 
-    def __init__(self, nodes: dict[int, NodeVersion]):
-        self.nodes = nodes  # insertion order is breadth-first from the root
+    nodes: dict[int, NodeVersion]  # insertion order is breadth-first from the root
 
     @property
     def size(self) -> int:
@@ -234,21 +194,13 @@ class MainTree:
             for child in version.children:
                 yield node, child
 
-    def __eq__(self, other):
-        if not isinstance(other, MainTree):
-            return NotImplemented
-        return self.nodes == other.nodes
-
-    def __repr__(self):
-        return f"MainTree(size={self.size}, mean_quality={self.mean_quality:.3f})"
-
 
 def main_tree(store: DirectoryStore, index, rng: random.Random) -> MainTree:
     """Extract the main tree by walking from the root and keeping, per
     node, the most viewed version (ties broken uniformly at random).
 
     `index` is the run's `PopularityIndex`; each node's pick is
-    `index.popular`, the pick of `pick_popular` over the node's counts.
+    `index.popular`.
     """
     if store.node_count == 0:
         return MainTree({})

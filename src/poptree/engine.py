@@ -157,7 +157,6 @@ class Simulation:
 
     def __init__(self, config: SimConfig, realization: int = 0):
         self.config = config
-        self.realization = realization
         self.rng = random.Random(derive_seed(config.seed, f"realization-{realization}"))
         self.store = DirectoryStore()
         # a version holds a majority once strictly more than half the peers view it
@@ -302,7 +301,7 @@ def run_single(
         tracker = _metrics.MajorityTracker()
         tracker.observe(sim.store, sim.index, 0)  # initial registrations can cross at N == 1
         tree = main_tree(sim.store, sim.index, metrics_rng)
-        snapshots = [_metrics.snapshot(sim.store, sim.index, 0, metrics_rng, tree=tree)]
+        snapshots = [_metrics.snapshot(sim.store, sim.index, 0, tree)]
 
         t_max = config.t_max
         step = sim.step
@@ -316,7 +315,7 @@ def run_single(
                 observe(store, index, t)
             if t == t_max or t % snapshot_interval == 0:
                 tree = main_tree(store, index, metrics_rng)
-                snapshots.append(_metrics.snapshot(store, index, t, metrics_rng, tree=tree))
+                snapshots.append(_metrics.snapshot(store, index, t, tree))
 
         return _metrics.MetricsSeries(
             snapshots=snapshots,
@@ -378,21 +377,16 @@ def run(
     block but the last runs in a forked worker process that sends its results
     back through a pipe; the calling process runs the last block itself.  The
     series come back in realization order, so the result does not depend on
-    `jobs`.  With one block, or where `os.fork` does not exist, everything
-    runs in the calling process.
+    `jobs`.  Where `os.fork` does not exist there is one block, and one
+    block runs in the calling process without a fork.
     """
     check_snapshot_interval(snapshot_interval)
     realizations = config.realizations
     blocks = process_count(jobs, realizations, available_cpus(), hasattr(os, "fork"))
-    if blocks == 1:
-        series = [run_single(config, k, snapshot_interval) for k in range(realizations)]
-    else:
-        bounds = [b * realizations // blocks for b in range(blocks + 1)]
-        series = _run_forked(
-            config,
-            snapshot_interval,
-            [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
-        )
+    bounds = [b * realizations // blocks for b in range(blocks + 1)]
+    series = _run_forked(
+        config, snapshot_interval, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    )
     average = _metrics.average_snapshots([s.snapshots for s in series])
     return RunResult(config, series, average)
 
@@ -407,10 +401,12 @@ def _run_forked(
     worker that exits without a result is a RuntimeError.  Whatever is
     raised, no worker outlives this call: those not yet collected are
     killed and reaped.  A worker whose caller is killed outright exits
-    before its next realization.
+    before its next realization.  With one block nothing is forked, and
+    the modules that forking needs are not loaded.
     """
-    import pickle
-    import signal
+    if len(blocks) > 1:
+        import pickle
+        import signal
 
     caller = os.getpid()
     workers: dict[int, int] = {}  # pid -> read end of its pipe, in block order

@@ -53,7 +53,11 @@ class ExperimentSpec:
         check_snapshot_interval(self.snapshot_interval)
         if self.sweep is not None:
             param, values = self.sweep
+            if not isinstance(param, str):
+                raise ValueError(f"sweep param must be a string, got {param!r}")
             param = normalize_param(param)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"sweep values must be a list or tuple, got {values!r}")
             if not values:
                 raise ValueError("sweep needs at least one value")
             values = tuple(parse_param_value(param, value) for value in values)
@@ -113,9 +117,9 @@ def _reject_unknown_keys(what: str, data, known: tuple[str, ...]) -> None:
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Inverse of spec_to_dict.  Missing keys take their defaults; an
-    unknown key, a sweep without its param or values, a non-string sweep
-    param or out_dir, sweep values that are not a list, or a non-bool
-    emit_dot is a ValueError that names it."""
+    unknown key, a sweep without its param or values, a non-string out_dir
+    or a non-bool emit_dot is a ValueError that names it, and so is any
+    value `ExperimentSpec` refuses, such as a non-string sweep param."""
     _reject_unknown_keys("experiment", data, _SPEC_KEYS)
     config = data.get("config", {})
     _reject_unknown_keys("config", config, _CONFIG_KEYS)
@@ -127,13 +131,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         missing = [key for key in ("param", "values") if key not in sweep_data]
         if missing:
             raise ValueError(f"sweep is missing key(s) {', '.join(map(repr, missing))}")
-        param = sweep_data["param"]
-        if not isinstance(param, str):
-            raise ValueError(f"sweep param must be a string, got {param!r}")
-        values = sweep_data["values"]
-        if not isinstance(values, list):
-            raise ValueError(f"sweep values must be a JSON list, got {values!r}")
-        sweep = (param, tuple(values))
+        sweep = (sweep_data["param"], sweep_data["values"])
     emit_dot = data.get("emit_dot", False)
     if not isinstance(emit_dot, bool):
         raise ValueError(f"emit_dot must be true or false, got {emit_dot!r}")

@@ -14,12 +14,11 @@ from pathlib import Path
 
 from .directory import MainTree
 from .experiment import ExperimentSpec, ResultBundle, spec_to_dict
-from .metrics import Snapshot
+from .metrics import MajorityEvent, Snapshot
 
-# a series row is the realization followed by every Snapshot field, in order
+# a row is the realization followed by every field of its record, in order
 SERIES_FIELDS = ("realization", *(field.name for field in fields(Snapshot)))
-
-MAJORITY_FIELDS = ("realization", "node", "version", "quality", "created_at", "reached_at")
+MAJORITY_FIELDS = ("realization", *(field.name for field in fields(MajorityEvent)))
 
 # quartile fills, low quality (light) to high quality (dark)
 _QUARTILE_FILLS = ("gray85", "gray70", "gray55", "gray38")
@@ -63,16 +62,7 @@ def write_majority_csv(path: Path, bundle: ResultBundle) -> None:
         writer.writerow(MAJORITY_FIELDS)
         for realization, series in enumerate(bundle.series):
             for event in series.majority_events:
-                writer.writerow(
-                    (
-                        realization,
-                        event.node,
-                        event.version,
-                        event.quality,
-                        event.created_at,
-                        event.reached_at,
-                    )
-                )
+                writer.writerow((realization, *astuple(event)))
 
 
 def histograms_payload(bundle: ResultBundle) -> dict:
@@ -94,13 +84,7 @@ def histograms_payload(bundle: ResultBundle) -> dict:
                 "degree_histogram": {str(k): v for k, v in sorted(series.degree_histogram.items())},
                 "viewers_histogram": {str(k): v for k, v in sorted(series.viewers_histogram.items())},
                 "viewers_by_quality": [
-                    {
-                        "lo": bucket.lo,
-                        "hi": bucket.hi,
-                        "versions": bucket.versions,
-                        "total_viewers": bucket.total_viewers,
-                        "mean_viewers": bucket.mean_viewers,
-                    }
+                    {**asdict(bucket), "mean_viewers": bucket.mean_viewers}
                     for bucket in series.viewers_by_quality
                 ],
                 "majority_events": len(series.majority_events),

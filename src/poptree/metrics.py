@@ -10,9 +10,9 @@ viewer, and the viewers-by-quality table covers every version.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
-from .directory import DirectoryStore, MainTree, main_tree
+from .directory import DirectoryStore, MainTree
 from .peers import PopularityIndex
 
 
@@ -80,16 +80,9 @@ class MetricsSeries:
     final_main_tree: MainTree | None = None
 
 
-def snapshot(
-    store: DirectoryStore,
-    index: PopularityIndex,
-    t: int,
-    rng: random.Random,
-    tree: MainTree | None = None,
-) -> Snapshot:
-    """Sample the run at step `t`; pass `tree` to reuse an extraction."""
-    if tree is None:
-        tree = main_tree(store, index, rng)
+def snapshot(store: DirectoryStore, index: PopularityIndex, t: int, tree: MainTree) -> Snapshot:
+    """Sample the run at step `t`, whose main tree `tree` was extracted at
+    that step."""
     return Snapshot(
         t=t,
         main_tree_size=tree.size,
@@ -107,9 +100,8 @@ def degree_histogram(
     most viewed one, ties broken at random.  Nodes nobody views any more
     are left out.
 
-    The pick is `index.popular`, which makes the same pick with the same
-    draws as `pick_popular` but needs no scan for a node with a known
-    leader.  Nodes go in id order, so tie draws come in a fixed order."""
+    The pick is `index.popular`, the pick a newcomer makes.  Nodes go in
+    id order, so tie draws come in a fixed order."""
     histogram: dict[int, int] = {}
     children = store._children
     for node in index.viewed_nodes():
@@ -185,20 +177,13 @@ def average_snapshots(series: list[list[Snapshot]]) -> list[AverageSnapshot]:
     if any(len(s) != length for s in series):
         raise ValueError("realizations produced snapshot series of unequal length")
     n = len(series)
+    names = [f.name for f in fields(AverageSnapshot)[1:]]  # every field but t
     averaged = []
     for i in range(length):
         rows = [s[i] for s in series]
         t = rows[0].t
         if any(row.t != t for row in rows):
             raise ValueError("realizations sampled at different steps")
-        averaged.append(
-            AverageSnapshot(
-                t=t,
-                main_tree_size=sum(r.main_tree_size for r in rows) / n,
-                main_tree_avg_quality=sum(r.main_tree_avg_quality for r in rows) / n,
-                total_nodes=sum(r.total_nodes for r in rows) / n,
-                total_nodes_viewed=sum(r.total_nodes_viewed for r in rows) / n,
-                total_versions=sum(r.total_versions for r in rows) / n,
-            )
-        )
+        means = {name: sum(getattr(r, name) for r in rows) / n for name in names}
+        averaged.append(AverageSnapshot(t=t, **means))
     return averaged

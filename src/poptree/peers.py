@@ -13,9 +13,8 @@ from __future__ import annotations
 import random
 from itertools import compress, count
 
-from .directory import DirectoryStore, NodeVersion, pick_popular
+from .directory import DirectoryStore, NodeVersion
 
-_EMPTY: dict[int, int] = {}
 _GROW_CHUNK = 1024  # node slots the index lists gain at a time
 
 
@@ -86,8 +85,9 @@ class PopularityIndex:
 
     def popular(self, node: int, n_versions: int, rng: random.Random) -> int:
         """The version of `node` a newcomer views, out of its `n_versions`:
-        the same pick, with the same draws, as `pick_popular(n_versions,
-        counts_for(node), rng)`.
+        a uniform pick among the versions with the most viewers.  With no
+        viewers, every version ties at zero and the pick is uniform over
+        all of them.  A single candidate takes no draw.
 
         A known leader is returned without a scan.  Otherwise the counts
         are scanned, and a unique top becomes the leader.
@@ -97,8 +97,8 @@ class PopularityIndex:
         if leader:
             return leader
         counts = self._counts.get(node)
-        if not counts:
-            return pick_popular(n_versions, _EMPTY, rng)
+        if not counts:  # a viewed node has a leader or a counts dict
+            return 1 if n_versions == 1 else rng.randrange(n_versions) + 1
         top = max(counts.values())
         ties = [j for j, c in counts.items() if c == top]
         if len(ties) > 1:
@@ -251,13 +251,10 @@ class PeerPopulation:
         This is the single-node API.  `walk` inlines the same pick, and
         the tests hold it to a walk built on this method.
         """
-        n_versions = self.store.version_count(node)
-        prefs = self._prefs[peer]
-        j = prefs.get(node)
+        j = self._prefs[peer].get(node)
         if j is None:
-            index = self.index
-            j = prefs[node] = index.popular(node, n_versions, rng)
-            index.increment(node, j)  # a fresh preference: no old count to move
+            j = self.index.popular(node, self.store.version_count(node), rng)
+            self.set_preference(peer, node, j)
         return self.store.version(node, j)
 
     def select(self, node: int, peer: int, rng: random.Random) -> NodeVersion:
@@ -284,14 +281,7 @@ class PeerPopulation:
             j = 1
         else:
             j = rng._randbelow(n_versions) + 1
-        prefs = self._prefs[peer]
-        old = prefs.get(node)
-        if old != j:  # what set_preference does, without the call
-            prefs[node] = j
-            if old is None:
-                index.increment(node, j)
-            else:
-                index.move(node, old, j)
+        self.set_preference(peer, node, j)
         return self.store.version(node, j)
 
     def walk(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from poptree.directory import NodeVersion, pick_popular
+from poptree.directory import NodeVersion
 from poptree.engine import Simulation, TraversalRecord, choose_update_index
 from poptree.namespace import Namespace, view
 from poptree.peers import PeerPopulation
@@ -186,6 +186,36 @@ class ObjectStore:
         versions.append(fresh)
         self._by_decile[int(quality * 10)] += 1
         return fresh.version
+
+
+# --- reference picks and counts --------------------------------------------------
+
+
+def pick_popular(n_versions, counts, rng):
+    """Uniform choice among the versions with the highest viewer count, as a
+    version number of a node with `n_versions` versions.
+
+    With no viewers at all, every version ties at zero and the choice is
+    uniform over all of them.  A single candidate is taken without
+    consuming a random draw.
+    """
+    if counts:
+        top = max(counts.values())
+        ties = [j for j, c in counts.items() if c == top]
+        return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+    if n_versions == 1:
+        return 1
+    return rng.randrange(n_versions) + 1
+
+
+def recount_preferences(peers):
+    """{node: {version: viewers}} recounted from every peer's preferences."""
+    counts: dict[int, dict[int, int]] = {}
+    for peer in range(peers.n_peers):
+        for node, version in peers.preferences_of(peer).items():
+            per_node = counts.setdefault(node, {})
+            per_node[version] = per_node.get(version, 0) + 1
+    return counts
 
 
 # --- dense reference index -------------------------------------------------------

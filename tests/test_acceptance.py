@@ -16,7 +16,7 @@ from poptree.directory import sample_quality
 from poptree.engine import SimConfig, Simulation, choose_update_index, run
 from poptree.experiment import ExperimentSpec, run_experiment
 from poptree.namespace import Namespace, ValueRecord, digest
-from support import records
+from support import records, recount_preferences
 
 CONTROL = SimConfig()  # N=100, s=1, p_update=.5, p_add=.75, p_file=.5, p_leave=0
 S_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -181,11 +181,7 @@ def test_criterion_10_structural_invariants_over_a_control_run(report):
     def check_block():
         store, peers, index = sim.store, sim.peers, sim.index
         # popularity index == counts recomputed from raw preferences
-        recomputed: dict[int, dict[int, int]] = {}
-        for peer in range(peers.n_peers):
-            for node, version in peers.preferences_of(peer).items():
-                per_node = recomputed.setdefault(node, {})
-                per_node[version] = per_node.get(version, 0) + 1
+        recomputed = recount_preferences(peers)
         indexed = {node: dict(counts) for node, counts, in _iter_index(index)}
         assert indexed == recomputed
         for node, per_node in recomputed.items():

@@ -1,6 +1,7 @@
 """Command-line parsing and the end-to-end entry point."""
 
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,24 @@ def test_jobs_flag_reaches_run_experiment_but_not_the_spec(monkeypatch):
 def test_literal_pseudocode_flag():
     spec = parse_config(["--literal-pseudocode"])
     assert spec.base.literal_traversal
+
+
+@pytest.mark.parametrize("field", fields(SimConfig), ids=lambda f: f.name)
+def test_every_config_field_has_a_flag_that_sets_it_alone(field):
+    # the overrides are read by field name, so a field without a flag would
+    # fail every parse, not only this one
+    parser = cli.build_parser()
+    flags = [action.option_strings[0] for action in parser._actions if action.dest == field.name]
+    assert flags, f"no flag stores into {field.name}"
+    default = field.default
+    if isinstance(default, bool):
+        argv, value = flags, not default
+    elif isinstance(default, int):
+        argv, value = [flags[0], str(default + 1)], default + 1
+    else:
+        value = default / 2 if default else 0.25
+        argv = [flags[0], repr(value)]
+    assert parse_config(argv).base == replace(SimConfig(), **{field.name: value})
 
 
 def test_main_end_to_end(tmp_path, capsys):

@@ -31,6 +31,7 @@ from support import (
     assert_sparse_rule,
     namespace_of,
     records,
+    recount_preferences,
     reference_step,
     reference_traverse,
 )
@@ -716,12 +717,8 @@ def test_randbelow_draws_what_randrange_draws(seed):
 def assert_index_matches_preferences(sim):
     """The popularity index equals a recount of every peer's preferences,
     and each node's leader and bound are consistent with the counts."""
-    peers, index = sim.peers, sim.index
-    recounted: dict[int, dict[int, int]] = {}
-    for peer in range(peers.n_peers):
-        for node, version in peers.preferences_of(peer).items():
-            counts = recounted.setdefault(node, {})
-            counts[version] = counts.get(version, 0) + 1
+    index = sim.index
+    recounted = recount_preferences(sim.peers)
     assert index.viewed_node_count == len(recounted)
     for node in range(1, sim.store.node_count + 1):
         counts = recounted.get(node, {})

@@ -74,6 +74,28 @@ def test_spec_from_dict_rejects_sweep_values_that_are_not_a_list(values):
         spec_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ((5, (1,)), "sweep param must be a string, got 5"),
+        ((None, [0.1]), "sweep param must be a string, got None"),
+        (("n_peers", 5), "sweep values must be a list or tuple, got 5"),
+        (("n_peers", "10,20"), "sweep values must be a list or tuple, got '10,20'"),
+        (("n_peers", {10, 20}), "sweep values must be a list or tuple, got {10, 20}"),
+    ],
+    ids=repr,
+)
+def test_spec_built_directly_names_a_mistyped_sweep(sweep, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentSpec(base=FAST, sweep=sweep)
+
+
+def test_spec_built_directly_takes_sweep_values_as_a_list_or_tuple():
+    from_list = ExperimentSpec(base=FAST, sweep=("peers", [10, "20"]))
+    assert from_list.sweep == ("n_peers", (10, 20))
+    assert from_list == ExperimentSpec(base=FAST, sweep=("n_peers", (10, 20)))
+
+
 @pytest.mark.parametrize("emit_dot", ["no", 1, None], ids=repr)
 def test_spec_from_dict_rejects_a_non_bool_emit_dot(emit_dot):
     with pytest.raises(ValueError, match=f"emit_dot.*{re.escape(repr(emit_dot))}"):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from poptree.directory import DirectoryStore, init_control_tree, pick_popular
+from poptree.directory import DirectoryStore, init_control_tree, main_tree
 from poptree.engine import SimConfig, Simulation, run_single
 from poptree.metrics import (
     AverageSnapshot,
@@ -19,7 +19,7 @@ from poptree.metrics import (
     viewers_histogram,
 )
 from poptree.peers import PeerPopulation
-from support import ScriptedRandom
+from support import ScriptedRandom, pick_popular
 
 
 def viewed_population(n_peers=10, majority_count=None):
@@ -34,7 +34,7 @@ def viewed_population(n_peers=10, majority_count=None):
 
 def test_snapshot_of_initial_state():
     store, pop = viewed_population()
-    snap = snapshot(store, pop.index, 0, random.Random(1))
+    snap = snapshot(store, pop.index, 0, main_tree(store, pop.index, random.Random(1)))
     assert snap == Snapshot(
         t=0,
         main_tree_size=4,
@@ -55,7 +55,8 @@ def test_snapshot_after_one_add_update_enumerates_both_outcomes():
     sizes = {4: 0, 5: 0}
     trials = 1000
     for trial in range(trials):
-        snap = snapshot(sim.store, sim.index, 1, random.Random(trial))
+        tree = main_tree(sim.store, sim.index, random.Random(trial))
+        snap = snapshot(sim.store, sim.index, 1, tree)
         sizes[snap.main_tree_size] += 1
     assert sizes[4] + sizes[5] == trials
     assert abs(sizes[5] / trials - 0.5) < 0.05
@@ -64,7 +65,7 @@ def test_snapshot_after_one_add_update_enumerates_both_outcomes():
 def test_snapshot_counts_unviewed_nodes_separately():
     store, pop = viewed_population()
     store.add_node(True, 0.4, created_at=1)  # never viewed, never linked
-    snap = snapshot(store, pop.index, 1, random.Random(0))
+    snap = snapshot(store, pop.index, 1, main_tree(store, pop.index, random.Random(0)))
     assert snap.total_nodes == 5
     assert snap.total_nodes_viewed == 4
     assert snap.main_tree_size == 4

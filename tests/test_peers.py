@@ -7,10 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poptree.directory import DirectoryStore, pick_popular
+from poptree.directory import DirectoryStore
 from poptree.namespace import node_name
 from poptree.peers import PeerPopulation, PopularityIndex
-from support import DenseIndex, ScriptedRandom, assert_sparse_rule, namespace_of
+from support import (
+    DenseIndex,
+    ScriptedRandom,
+    assert_sparse_rule,
+    namespace_of,
+    pick_popular,
+    recount_preferences,
+)
 
 
 def build_population(n_peers=10, versions=1, majority_count=None):
@@ -179,15 +186,6 @@ def test_population_needs_at_least_one_peer():
 # --- randomized operation sequences ----------------------------------------
 
 
-def recompute_counts(pop):
-    counts: dict[int, dict[int, int]] = {}
-    for peer in range(pop.n_peers):
-        for node, version in pop.preferences_of(peer).items():
-            per_node = counts.setdefault(node, {})
-            per_node[version] = per_node.get(version, 0) + 1
-    return counts
-
-
 def stored_total(index, node):
     """The viewer total the index stores for `node`: 0 until its node-indexed
     lists have grown to cover the node."""
@@ -196,7 +194,7 @@ def stored_total(index, node):
 
 
 def assert_consistent(pop, store):
-    recomputed = recompute_counts(pop)
+    recomputed = recount_preferences(pop)
     indexed = {
         node: dict(pop.index.counts_for(node))
         for node in range(1, store.node_count + 1)
@@ -265,7 +263,7 @@ def test_namespace_view_equals_recounted_preferences_after_set_and_churn():
             pop.set_preference(peer, rng.randrange(6) + 1, rng.randrange(4) + 1)
         if step % 300 == 0:
             namespace = namespace_of(pop)
-            recounted = recompute_counts(pop)
+            recounted = recount_preferences(pop)
             for node in range(1, 7):
                 resolved = {
                     record.description: count
@@ -478,7 +476,7 @@ operations = st.lists(
 
 
 def assert_default_pick_matches_reference(pop, seed):
-    recounted = recompute_counts(pop)
+    recounted = recount_preferences(pop)
     for node in range(1, N_NODES + 1):
         n_versions = pop.store.version_count(node)
         fast_rng, reference_rng = random.Random(seed), random.Random(seed)
