@@ -14,10 +14,10 @@ up browsing.
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 
@@ -25,11 +25,14 @@ def sample_quality(s: float, rng: random.Random) -> float:
     """Draw a quality in [0, 1): a uniform variate mapped through p**s.
 
     Larger s makes high quality rarer; the mean over many draws is
-    1 / (1 + s) and the CDF is q**(1/s).
+    1 / (1 + s) and the CDF is q**(1/s).  For s <= 0.5 a draw near 1 can
+    round up to exactly 1.0, and smaller s rounds more draws up; such a
+    draw gives the largest float below 1 instead.
     """
     if s <= 0:
         raise ValueError("quality shape s must be > 0")
-    return rng.random() ** s
+    q = rng.random() ** s
+    return q if q < 1.0 else math.nextafter(1.0, 0.0)
 
 
 def expected_quality_fraction(lo: float, hi: float, s: float) -> float:
@@ -172,8 +175,7 @@ def init_control_tree(store: DirectoryStore) -> None:
         store.add_node(is_dir=True, quality=0.5, created_at=0)
 
 
-@dataclass
-class MainTree:
+class MainTree(NamedTuple):
     """The tree a newcomer with no preferences would browse: one version
     per reached node, chosen by popularity with random tie-breaks."""
 
@@ -187,7 +189,12 @@ class MainTree:
     def mean_quality(self) -> float:
         if not self.nodes:
             return 0.0
-        return sum(v.quality for v in self.nodes.values()) / len(self.nodes)
+        # a left fold: built-in sum() of floats is compensated from Python
+        # 3.12 on, and would change the last bit on some interpreters only
+        total = 0.0
+        for v in self.nodes.values():
+            total += v.quality
+        return total / len(self.nodes)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for node, version in self.nodes.items():

@@ -18,6 +18,7 @@ import os
 import random
 from dataclasses import dataclass
 from math import expm1, log, log1p
+from typing import NamedTuple
 
 from .directory import DirectoryStore, init_control_tree, main_tree, sample_quality
 from .peers import PeerPopulation
@@ -95,25 +96,16 @@ class SimConfig:
             raise ValueError("realizations must be >= 1")
 
 
-class TraversalRecord:
+class TraversalRecord(NamedTuple):
     """What one walk did: the directory nodes it occupied (root first in
     the default walk), the mean out-degree of the versions it occupied
     there, and the node updated, if any.  The peer's preference at each
     path node is the version it occupied."""
 
-    __slots__ = ("peer", "path", "mean_degree", "updated")
-
-    def __init__(
-        self,
-        peer: int,
-        path: list[int],
-        mean_degree: float,
-        updated: int | None,
-    ):
-        self.peer = peer
-        self.path = path
-        self.mean_degree = mean_degree
-        self.updated = updated
+    peer: int
+    path: list[int]
+    mean_degree: float
+    updated: int | None
 
 
 def choose_update_index(mean_degree: float, k: int, p: float) -> int:
@@ -221,13 +213,12 @@ class Simulation:
                 return TraversalRecord(peer, [], 0.0, None)
         mean_degree = degree / len(path)
         p = self.rng.random()
+        if self.rng.random() >= cfg.p_update:
+            return TraversalRecord(peer, path, mean_degree, None)
         # a literal walk can sum degree 0 over 2+ entries: index 0, the d -> 0+ limit
         target = path[choose_update_index(mean_degree, len(path), p) if degree else 0]
-        updated = None
-        if self.rng.random() < cfg.p_update:
-            self.apply_update(target, self.peers._prefs[peer][target], peer)
-            updated = target
-        return TraversalRecord(peer, path, mean_degree, updated)
+        self.apply_update(target, self.peers._prefs[peer][target], peer)
+        return TraversalRecord(peer, path, mean_degree, target)
 
     def apply_update(self, node: int, version: int, peer: int) -> int:
         """Publish a new version of `node`, derived from its version
@@ -240,10 +231,7 @@ class Simulation:
         becomes the first viewer of everything it just created.
         """
         store = self.store
-        if node < 1 or version < 1:  # a negative index would name another version
-            raise KeyError(f"node {node} has no version {version}")
-        g = store._first[node] if version == 1 else store._later[node][version - 2]
-        children = store._children[g]
+        children = store._children[store.id_of(node, version)]
         if children is None:
             raise ValueError("only directory versions can be updated")
         cfg = self.config
@@ -330,8 +318,7 @@ def run_single(
             gc.enable()
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """All realizations of one configuration plus the averaged series."""
 
     config: SimConfig

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .engine import _INT_FIELDS, SimConfig, check_jobs, check_snapshot_interval, run
 from .metrics import AverageSnapshot, MetricsSeries
@@ -52,6 +53,8 @@ class ExperimentSpec:
     def __post_init__(self):
         check_snapshot_interval(self.snapshot_interval)
         if self.sweep is not None:
+            if not isinstance(self.sweep, (list, tuple)) or len(self.sweep) != 2:
+                raise ValueError(f"sweep must be a (param, values) pair, got {self.sweep!r}")
             param, values = self.sweep
             if not isinstance(param, str):
                 raise ValueError(f"sweep param must be a string, got {param!r}")
@@ -76,8 +79,7 @@ class ExperimentSpec:
         return [(value, replace(self.base, **{param: value})) for value in values]
 
 
-@dataclass
-class ResultBundle:
+class ResultBundle(NamedTuple):
     """One sweep point's runs: the resolved config, every realization's
     metrics, and the averaged snapshot series."""
 

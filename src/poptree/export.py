@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from .directory import MainTree
@@ -17,8 +17,8 @@ from .experiment import ExperimentSpec, ResultBundle, spec_to_dict
 from .metrics import MajorityEvent, Snapshot
 
 # a row is the realization followed by every field of its record, in order
-SERIES_FIELDS = ("realization", *(field.name for field in fields(Snapshot)))
-MAJORITY_FIELDS = ("realization", *(field.name for field in fields(MajorityEvent)))
+SERIES_FIELDS = ("realization", *Snapshot._fields)
+MAJORITY_FIELDS = ("realization", *MajorityEvent._fields)
 
 # quartile fills, low quality (light) to high quality (dark)
 _QUARTILE_FILLS = ("gray85", "gray70", "gray55", "gray38")
@@ -51,9 +51,9 @@ def write_series_csv(path: Path, bundle: ResultBundle) -> None:
         writer.writerow(SERIES_FIELDS)
         for realization, series in enumerate(bundle.series):
             for snap in series.snapshots:
-                writer.writerow((realization, *astuple(snap)))
+                writer.writerow((realization, *snap))
         for snap in bundle.average:
-            writer.writerow(("mean", *astuple(snap)))
+            writer.writerow(("mean", *snap))
 
 
 def write_majority_csv(path: Path, bundle: ResultBundle) -> None:
@@ -62,7 +62,7 @@ def write_majority_csv(path: Path, bundle: ResultBundle) -> None:
         writer.writerow(MAJORITY_FIELDS)
         for realization, series in enumerate(bundle.series):
             for event in series.majority_events:
-                writer.writerow((realization, *astuple(event)))
+                writer.writerow((realization, *event))
 
 
 def histograms_payload(bundle: ResultBundle) -> dict:
@@ -84,7 +84,7 @@ def histograms_payload(bundle: ResultBundle) -> dict:
                 "degree_histogram": {str(k): v for k, v in sorted(series.degree_histogram.items())},
                 "viewers_histogram": {str(k): v for k, v in sorted(series.viewers_histogram.items())},
                 "viewers_by_quality": [
-                    {**asdict(bucket), "mean_viewers": bucket.mean_viewers}
+                    {**bucket._asdict(), "mean_viewers": bucket.mean_viewers}
                     for bucket in series.viewers_by_quality
                 ],
                 "majority_events": len(series.majority_events),

@@ -10,14 +10,13 @@ viewer, and the viewers-by-quality table covers every version.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .directory import DirectoryStore, MainTree
 from .peers import PopularityIndex
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """State of the run at one sampled step."""
 
     t: int
@@ -28,8 +27,7 @@ class Snapshot:
     total_versions: int
 
 
-@dataclass(frozen=True)
-class AverageSnapshot:
+class AverageSnapshot(NamedTuple):
     """Pointwise mean of one snapshot row across realizations."""
 
     t: int
@@ -40,8 +38,7 @@ class AverageSnapshot:
     total_versions: float
 
 
-@dataclass(frozen=True)
-class MajorityEvent:
+class MajorityEvent(NamedTuple):
     """A version's viewer count first exceeded half the population."""
 
     node: int
@@ -51,8 +48,7 @@ class MajorityEvent:
     reached_at: int
 
 
-@dataclass(frozen=True)
-class QualityBucket:
+class QualityBucket(NamedTuple):
     """One quality decile: how many versions fall in it and their viewers."""
 
     lo: float
@@ -67,8 +63,7 @@ class QualityBucket:
         return self.total_viewers / self.versions
 
 
-@dataclass
-class MetricsSeries:
+class MetricsSeries(NamedTuple):
     """Everything measured over one realization.  Only realization 0 keeps
     `final_main_tree`, the tree the DOT output draws; the others carry None."""
 
@@ -177,13 +172,19 @@ def average_snapshots(series: list[list[Snapshot]]) -> list[AverageSnapshot]:
     if any(len(s) != length for s in series):
         raise ValueError("realizations produced snapshot series of unequal length")
     n = len(series)
-    names = [f.name for f in fields(AverageSnapshot)[1:]]  # every field but t
     averaged = []
     for i in range(length):
-        rows = [s[i] for s in series]
-        t = rows[0].t
-        if any(row.t != t for row in rows):
+        steps, *columns = zip(*(s[i] for s in series))
+        t = steps[0]
+        if any(step != t for step in steps):
             raise ValueError("realizations sampled at different steps")
-        means = {name: sum(getattr(r, name) for r in rows) / n for name in names}
-        averaged.append(AverageSnapshot(t=t, **means))
+        # each column summed as a left fold in realization order: built-in
+        # sum() of floats is compensated from Python 3.12 on
+        means = []
+        for column in columns:
+            total = 0
+            for value in column:
+                total += value
+            means.append(total / n)
+        averaged.append(AverageSnapshot(t, *means))
     return averaged

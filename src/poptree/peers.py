@@ -43,8 +43,10 @@ class PopularityIndex:
     keeps it as long as its new count still beats the bound; a plain cached
     maximum would be lost on almost every step, since the leader is the
     version most often left.  When the leader is unknown, `popular` scans
-    the counts, and records a unique top if it finds one.  `move` shifts one
-    viewer between two versions of a node in a single call.
+    the counts, and records a unique top if it finds one.  A viewer moves
+    between two versions of a node as `increment` of the new one, then
+    `decrement` of the old, in that order: the node never empties in
+    between, so it keeps its counts dict and that dict's order.
 
     The node-indexed lists grow in chunks ahead of the store, so a new
     node's first count rarely needs them extended.
@@ -148,35 +150,6 @@ class PopularityIndex:
         if c == self._majority_count:
             self._crossings.append((node, version))
 
-    def move(self, node: int, old: int, new: int) -> None:
-        """One viewer of `node` leaves version `old` for `new`: the same
-        state as `increment(node, new)` then `decrement(node, old)`, without
-        touching the node's total."""
-        counts = self._counts.get(node)
-        if counts is None:  # a second viewed version; `old` holds every viewer
-            counts = self._counts[node] = {old: self._totals[node]}
-        c = counts.get(new, 0) + 1
-        counts[new] = c
-        leaders = self._leader
-        bounds = self._bound
-        leader = leaders[node]
-        if leader != new and c > bounds[node]:
-            if not leader:
-                leaders[node] = leader = new
-            else:
-                bounds[node] = c
-                if c == counts[leader]:
-                    leaders[node] = leader = 0
-        if c == self._majority_count:
-            self._crossings.append((node, new))
-        c = counts[old] - 1
-        if c:
-            counts[old] = c
-        else:
-            del counts[old]  # `new` keeps the node's counts non-empty
-        if leader == old and c <= bounds[node]:
-            leaders[node] = 0
-
     def decrement(self, node: int, version: int) -> None:
         total = self._totals[node] - 1
         self._totals[node] = total
@@ -236,10 +209,9 @@ class PeerPopulation:
         if old == version:
             return
         prefs[node] = version
-        if old is None:
-            self.index.increment(node, version)
-        else:
-            self.index.move(node, old, version)
+        self.index.increment(node, version)
+        if old is not None:
+            self.index.decrement(node, old)
 
     def viewing(self, node: int, peer: int, rng: random.Random) -> NodeVersion:
         """The version of `node` that `peer` views.
@@ -318,7 +290,7 @@ class PeerPopulation:
         totals = index._totals
         leaders = index._leader
         increment = index.increment
-        move = index.move
+        decrement = index.decrement
         path = []
         append = path.append
         degree = viewed_degree = 0
@@ -351,7 +323,8 @@ class PeerPopulation:
                             break
                     if k != j:
                         prefs[node] = k
-                        move(node, j, k)
+                        increment(node, k)
+                        decrement(node, j)
                         g = first[node] if k == 1 else later[node][k - 2]
             children = children_of[g]
             if children is None:  # a file

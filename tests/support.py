@@ -222,8 +222,7 @@ def recount_preferences(peers):
 #
 # The popularity index before it went sparse: every viewed node keeps a
 # {version: count} dict, made at its first view.  A count that reaches 0 is
-# deleted, and so is a node's dict once it is empty.  `move` is an increment
-# of the new version, then a decrement of the old one.  The leader and bound
+# deleted, and so is a node's dict once it is empty.  The leader and bound
 # bookkeeping is the sparse index's.  test_peers.py holds the sparse index to
 # it operation for operation.
 
@@ -279,10 +278,6 @@ class DenseIndex:
         if c == self._majority_count:
             self._crossings.append((node, version))
 
-    def move(self, node, old, new):
-        self.increment(node, new)
-        self.decrement(node, old)
-
     def decrement(self, node, version):
         counts = self._counts[node]
         c = counts[version] - 1
@@ -298,6 +293,10 @@ class DenseIndex:
             self._leader[node] = self._bound[node] = 0
         elif self._leader[node] == version and c <= self._bound[node]:
             self._leader[node] = 0
+
+    def drain_crossings(self):
+        crossed, self._crossings = self._crossings, []
+        return crossed
 
 
 def assert_sparse_rule(index, node):

@@ -59,6 +59,13 @@ def test_sample_quality_mean_is_one_over_one_plus_s(s):
     assert abs(sum(draws) / len(draws) - 1 / (1 + s)) < 0.02
 
 
+@pytest.mark.parametrize("s", [0.5, 1e-3, 1e-300])
+def test_sample_quality_stays_below_one_when_the_power_rounds_up(s):
+    # (1 - 2**-53) ** 0.5 rounds to 1.0, which the store refuses
+    assert sample_quality(s, ScriptedRandom([1 - 2**-53])) == 1 - 2**-53
+    assert sample_quality(s, ScriptedRandom([0.0])) == 0.0
+
+
 @pytest.mark.parametrize("s", S_VALUES)
 def test_sample_quality_cdf_matches_power_law(s):
     rng = random.Random(int(s * 1000) + 11)
@@ -388,3 +395,10 @@ def test_main_tree_mean_quality_averages_its_nodes():
     tree = main_tree(store, PopularityIndex(), ScriptedRandom())
     assert [v.quality for v in tree.nodes.values()] == [0.3, 0.6, 0.9]
     assert tree.mean_quality == pytest.approx(0.6)
+
+
+def test_main_tree_mean_quality_is_a_left_fold():
+    # the same last bit on every interpreter: built-in sum() is compensated
+    # from Python 3.12 on and gives 0.1 here
+    tree = MainTree({node: NodeVersion(node, 1, 0.1, True, (), 0) for node in range(1, 11)})
+    assert tree.mean_quality == 0.09999999999999999

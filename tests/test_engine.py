@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poptree import engine
@@ -266,8 +266,8 @@ def test_traverse_updates_childless_root():
 def test_quality_draws_below_q_never_deviate(monkeypatch):
     # Every quality test passes: the walk must follow the peer's own
     # preferences exactly and never re-pick.  With p_update=0 only a re-pick
-    # that changes the peer's version calls index.move, and nine other peers
-    # on a second version of every node make almost any re-pick a change.
+    # that changes the peer's version calls index.decrement, and nine other
+    # peers on a second version of every node make almost any re-pick a change.
     sim = Simulation(SimConfig(p_update=0.0))
     for node in (1, 2, 3, 4):
         sim.store.add_version(node, 0.5, sim.store.version(node, 1).children, created_at=0)
@@ -277,18 +277,18 @@ def test_quality_draws_below_q_never_deviate(monkeypatch):
     # integer draws, which Random then derives from random()
     sim.rng = random.Random(3)
     sim.rng.random = lambda: 0.0
-    move_calls = []
-    original = sim.index.move
+    decrement_calls = []
+    original = sim.index.decrement
     monkeypatch.setattr(
         sim.index,
-        "move",
-        lambda *args: move_calls.append(args) or original(*args),
+        "decrement",
+        lambda *args: decrement_calls.append(args) or original(*args),
     )
     for _ in range(100):
         record = sim.traverse(0)
         # a re-pick would rewrite a preference, so the walk occupied v1 throughout
         assert sim.peers.preferences_of(0) == {1: 1, 2: 1, 3: 1, 4: 1}
-    assert move_calls == []
+    assert decrement_calls == []
 
 
 def test_traverse_record_invariants_over_a_run(monkeypatch):
@@ -759,6 +759,48 @@ def test_index_stays_consistent_over_engine_steps(n_peers, p_leave, p_update, li
     for _ in range(steps):
         sim.step()
         assert_index_matches_preferences(sim)
+
+
+def test_a_run_at_a_vanishing_quality_shape_completes():
+    # every update draw's power rounds up to 1.0 at s=1e-300
+    series = run_single(SimConfig(s=1e-300, t_max=200, realizations=1), snapshot_interval=50)
+    assert series.snapshots[-1].total_versions > 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_peers=st.integers(1, 3),
+    s=st.sampled_from([1e-300, 1e-3, 1.0, 50.0]),
+    p_update=st.sampled_from([0.0, 1.0]),
+    p_add=st.sampled_from([0.0, 1.0]),
+    p_file=st.sampled_from([0.0, 1.0]),
+    p_leave=st.sampled_from([0.0, 1.0]),
+    literal=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@example(
+    n_peers=1, s=1e-300, p_update=1.0, p_add=1.0, p_file=0.0, p_leave=0.0, literal=False, seed=0
+)
+def test_extreme_configs_run_and_keep_their_invariants(
+    n_peers, s, p_update, p_add, p_file, p_leave, literal, seed
+):
+    sim = Simulation(
+        SimConfig(
+            n_peers=n_peers,
+            s=s,
+            p_update=p_update,
+            p_add=p_add,
+            p_file=p_file,
+            p_leave=p_leave,
+            literal_traversal=literal,
+            seed=seed,
+        )
+    )
+    for _ in range(3):
+        for _ in range(100):
+            sim.step()
+        assert_index_matches_preferences(sim)
+    assert all(0.0 <= q < 1.0 for q in sim.store._quality)
 
 
 def version_fields(store):

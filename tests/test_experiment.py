@@ -82,6 +82,8 @@ def test_spec_from_dict_rejects_sweep_values_that_are_not_a_list(values):
         (("n_peers", 5), "sweep values must be a list or tuple, got 5"),
         (("n_peers", "10,20"), "sweep values must be a list or tuple, got '10,20'"),
         (("n_peers", {10, 20}), "sweep values must be a list or tuple, got {10, 20}"),
+        ("n_peers", "sweep must be a (param, values) pair, got 'n_peers'"),
+        (("n_peers",), "sweep must be a (param, values) pair, got ('n_peers',)"),
     ],
     ids=repr,
 )
