@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from dataclasses import fields, replace
-from pathlib import Path
 
 from .engine import SimConfig, check_jobs
 from .experiment import ExperimentSpec, run_experiment, spec_from_dict
@@ -113,7 +112,7 @@ def _parse(argv: list[str] | None) -> tuple[ExperimentSpec, int | None]:
         spec = ExperimentSpec(
             base=replace(spec.base, **overrides),
             sweep=sweep,
-            out_dir=Path(args.out) if args.out else spec.out_dir,
+            out_dir=args.out or spec.out_dir,
             snapshot_interval=args.snapshot_interval
             if args.snapshot_interval is not None
             else spec.snapshot_interval,
@@ -126,6 +125,11 @@ def _parse(argv: list[str] | None) -> tuple[ExperimentSpec, int | None]:
 
 def main(argv: list[str] | None = None) -> int:
     spec, jobs = _parse(argv)
+    if spec.out_dir is not None:  # an unusable --out fails before any realization runs
+        try:
+            spec.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            build_parser().error(f"cannot write outputs to {spec.out_dir}: {exc}")
     bundles = run_experiment(spec, jobs)
     for bundle in bundles:
         label = "run" if bundle.sweep_value is None else (

@@ -11,7 +11,6 @@ dropped or a brand-new child node attached.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import math
 import os
@@ -116,6 +115,11 @@ def choose_update_index(mean_degree: float, k: int, p: float) -> int:
     choice over all nodes reachable through the path, so bushier paths
     push updates toward the leaves.  As d -> 1 it degenerates to the
     plain uniform floor(p k).  The result is always in {0, ..., k-1}.
+
+    mean_degree 0 is accepted only for k == 1: for k >= 2 the staircase
+    has no steps at d = 0.  A literal walk counts the versions as first
+    viewed, so its degree sum can be 0 over several entries; `traverse`
+    then takes index 0, the d -> 0+ limit, without calling this.
     """
     if k < 1:
         raise ValueError("path length k must be >= 1")
@@ -129,7 +133,7 @@ def choose_update_index(mean_degree: float, k: int, p: float) -> int:
         c = int(p * k)
         return c if c < k else k - 1
     if mean_degree == 0.0:
-        raise ValueError("mean_degree 0 only arises for single-entry paths")
+        raise ValueError("mean_degree 0 needs k == 1; for k >= 2 its d -> 0+ limit is index 0")
     log_d = log(mean_degree)
     exponent = k * log_d
     if exponent <= 700.0:  # d**k still representable in a double
@@ -151,15 +155,11 @@ class Simulation:
         self.config = config
         self.rng = random.Random(derive_seed(config.seed, f"realization-{realization}"))
         self.store = DirectoryStore()
-        # a version holds a majority once strictly more than half the peers view it
-        self.peers = PeerPopulation(
-            config.n_peers, self.store, majority_count=config.n_peers // 2 + 1
-        )
+        self.peers = PeerPopulation(config.n_peers, self.store)
         init_control_tree(self.store)
         for node in (1, 2, 3, 4):
             self.peers.set_preference(0, node, 1)  # peer 0 starts on all initial versions
         self.t = 0
-        self.updates_performed = 0
 
     @property
     def index(self):
@@ -249,7 +249,6 @@ class Simulation:
             new_child = store.add_node(child_is_dir, sample_quality(cfg.s, rng), self.t)
             children = children + (new_child,)
         fresh = store.add_version(node, quality, children, self.t)
-        self.updates_performed += 1
         self.peers.set_preference(peer, node, fresh)
         if new_child is not None:
             self.peers.set_preference(peer, new_child, 1)
@@ -273,49 +272,37 @@ def run_single(
 
     Metric extraction draws from its own RNG stream, so the trajectory is
     a function of the config alone, never of how often it is observed.
-
-    The cyclic garbage collector is paused for the realization and then
-    restored to its previous state.  A realization creates no reference
-    cycles, so the collector would only re-scan a heap that keeps growing.
     """
     check_snapshot_interval(snapshot_interval)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        sim = Simulation(config, realization)
-        metrics_rng = random.Random(
-            derive_seed(config.seed, f"realization-{realization}/metrics")
-        )
-        tracker = _metrics.MajorityTracker()
-        tracker.observe(sim.store, sim.index, 0)  # initial registrations can cross at N == 1
-        tree = main_tree(sim.store, sim.index, metrics_rng)
-        snapshots = [_metrics.snapshot(sim.store, sim.index, 0, tree)]
+    sim = Simulation(config, realization)
+    metrics_rng = random.Random(derive_seed(config.seed, f"realization-{realization}/metrics"))
+    tracker = _metrics.MajorityTracker()
+    tracker.observe(sim.store, sim.index, 0)  # initial registrations can cross at N == 1
+    tree = main_tree(sim.store, sim.index, metrics_rng)
+    snapshots = [_metrics.snapshot(sim.store, sim.index, 0, tree)]
 
-        t_max = config.t_max
-        step = sim.step
-        observe = tracker.observe
-        store = sim.store
-        index = sim.index
-        while sim.t < t_max:
-            step()
-            t = sim.t
-            if index._crossings:  # events keep the step they crossed at
-                observe(store, index, t)
-            if t == t_max or t % snapshot_interval == 0:
-                tree = main_tree(store, index, metrics_rng)
-                snapshots.append(_metrics.snapshot(store, index, t, tree))
+    t_max = config.t_max
+    step = sim.step
+    observe = tracker.observe
+    store = sim.store
+    index = sim.index
+    while sim.t < t_max:
+        step()
+        t = sim.t
+        if index._crossings:  # events keep the step they crossed at
+            observe(store, index, t)
+        if t == t_max or t % snapshot_interval == 0:
+            tree = main_tree(store, index, metrics_rng)
+            snapshots.append(_metrics.snapshot(store, index, t, tree))
 
-        return _metrics.MetricsSeries(
-            snapshots=snapshots,
-            degree_histogram=_metrics.degree_histogram(store, index, metrics_rng),
-            viewers_histogram=_metrics.viewers_histogram(index),
-            viewers_by_quality=_metrics.viewers_by_quality(store, index),
-            majority_events=tracker.events,
-            final_main_tree=tree if realization == 0 else None,
-        )
-    finally:
-        if collecting:
-            gc.enable()
+    return _metrics.MetricsSeries(
+        snapshots=snapshots,
+        degree_histogram=_metrics.degree_histogram(store, index, metrics_rng),
+        viewers_histogram=_metrics.viewers_histogram(index),
+        viewers_by_quality=_metrics.viewers_by_quality(store, index),
+        majority_events=tracker.events,
+        final_main_tree=tree if realization == 0 else None,
+    )
 
 
 class RunResult(NamedTuple):

@@ -42,7 +42,8 @@ def parse_param_value(param: str, raw: str | float | int):
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A base configuration, an optional sweep over one of its fields, and
-    where (if anywhere) to write the outputs."""
+    where (if anywhere) to write the outputs.  `out_dir` may be given as a
+    string or any path-like object and is kept as a `Path`."""
 
     base: SimConfig = SimConfig()
     sweep: tuple[str, tuple[float | int, ...]] | None = None
@@ -51,6 +52,15 @@ class ExperimentSpec:
     emit_dot: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.base, SimConfig):
+            raise ValueError(f"base must be a SimConfig, got {self.base!r}")
+        if self.out_dir is not None:
+            try:  # a str or a path-like object
+                object.__setattr__(self, "out_dir", Path(self.out_dir))
+            except TypeError:
+                raise ValueError(f"out_dir must be a string, got {self.out_dir!r}") from None
+        if not isinstance(self.emit_dot, bool):
+            raise ValueError(f"emit_dot must be true or false, got {self.emit_dot!r}")
         check_snapshot_interval(self.snapshot_interval)
         if self.sweep is not None:
             if not isinstance(self.sweep, (list, tuple)) or len(self.sweep) != 2:
@@ -119,9 +129,9 @@ def _reject_unknown_keys(what: str, data, known: tuple[str, ...]) -> None:
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Inverse of spec_to_dict.  Missing keys take their defaults; an
-    unknown key, a sweep without its param or values, a non-string out_dir
-    or a non-bool emit_dot is a ValueError that names it, and so is any
-    value `ExperimentSpec` refuses, such as a non-string sweep param."""
+    unknown key or a sweep without its param or values is a ValueError that
+    names it, and so is any value `ExperimentSpec` refuses, such as a
+    non-string out_dir, a non-bool emit_dot or a non-string sweep param."""
     _reject_unknown_keys("experiment", data, _SPEC_KEYS)
     config = data.get("config", {})
     _reject_unknown_keys("config", config, _CONFIG_KEYS)
@@ -134,18 +144,12 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         if missing:
             raise ValueError(f"sweep is missing key(s) {', '.join(map(repr, missing))}")
         sweep = (sweep_data["param"], sweep_data["values"])
-    emit_dot = data.get("emit_dot", False)
-    if not isinstance(emit_dot, bool):
-        raise ValueError(f"emit_dot must be true or false, got {emit_dot!r}")
-    out_dir = data.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ValueError(f"out_dir must be a string, got {out_dir!r}")
     return ExperimentSpec(
         base=base,
         sweep=sweep,
-        out_dir=None if out_dir is None else Path(out_dir),
+        out_dir=data.get("out_dir"),
         snapshot_interval=data.get("snapshot_interval", 1000),
-        emit_dot=emit_dot,
+        emit_dot=data.get("emit_dot", False),
     )
 
 

@@ -182,17 +182,13 @@ class PopularityIndex:
 class PeerPopulation:
     """Fixed population of peers with per-node viewing preferences."""
 
-    def __init__(
-        self,
-        n_peers: int,
-        store: DirectoryStore,
-        majority_count: int | None = None,
-    ):
+    def __init__(self, n_peers: int, store: DirectoryStore):
         if n_peers < 1:
             raise ValueError("population needs at least one peer")
         self.n_peers = n_peers
         self.store = store
-        self.index = PopularityIndex(majority_count)
+        # a version holds a majority once strictly more than half the peers view it
+        self.index = PopularityIndex(n_peers // 2 + 1)
         self._prefs: list[dict[int, int]] = [{} for _ in range(n_peers)]
 
     def preference(self, peer: int, node: int) -> int | None:

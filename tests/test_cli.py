@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from poptree import cli
+from poptree import cli, engine
 from poptree.cli import main, parse_config
 from poptree.engine import SimConfig
 from poptree.experiment import ExperimentSpec, spec_to_dict
@@ -189,6 +189,22 @@ def test_main_end_to_end(tmp_path, capsys):
     assert "main tree" in out
     assert (tmp_path / "run" / "series.csv").exists()
     assert (tmp_path / "run" / "main_tree_200.dot").exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/run"], ids=["file", "under-a-file"])
+def test_an_out_path_that_cannot_be_a_directory_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, out
+):
+    (tmp_path / "taken").write_text("")
+    ran = []
+    monkeypatch.setattr(engine, "run_single", lambda *args: ran.append(args))
+    out_dir = tmp_path / out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--steps", "10", "--realizations", "1", "--jobs", "1", "--out", str(out_dir)])
+    assert excinfo.value.code == 2
+    (error,) = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert error.startswith(f"poptree: error: cannot write outputs to {out_dir}: ")
+    assert ran == []
 
 
 def test_main_prints_one_line_per_sweep_point(capsys):

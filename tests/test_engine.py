@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,6 +86,12 @@ def test_near_one_degree_degenerates_to_uniform():
 
 def test_single_entry_paths_need_no_degree():
     assert choose_update_index(0.0, 1, 0.99) == 0
+
+
+def test_degree_zero_over_several_entries_is_left_to_the_caller():
+    # a literal walk can sum degree 0 over 2+ entries; traverse takes index 0 itself
+    with pytest.raises(ValueError, match=r"needs k == 1; .* limit is index 0"):
+        choose_update_index(0.0, 2, 0.5)
 
 
 def test_monotone_in_p():
@@ -394,7 +401,7 @@ def test_update_delete_branch():
     assert fresh.children == (3, 4)  # dropped the first link
     assert fresh.quality == 0.42
     assert sim.store.node_count == 4  # delete never removes nodes
-    assert sim.updates_performed == 1
+    assert sim.store.total_versions - sim.store.node_count == 1  # one update
     assert sim.peers.preference(1, 1) == 2
     # peer 0 still views the old root
     assert sim.index.counts_for(1) == {1: 1, 2: 1}
@@ -454,7 +461,7 @@ def test_update_of_an_unknown_version_changes_nothing(node, version):
     sim.rng = ScriptedRandom()  # no draw either
     with pytest.raises(LookupError):
         sim.apply_update(node, version, peer=1)
-    assert (sim.store.node_count, sim.store.total_versions, sim.updates_performed) == (4, 4, 0)
+    assert (sim.store.node_count, sim.store.total_versions) == (4, 4)  # no update
     assert sim.peers.preferences_of(1) == {}
 
 
@@ -573,20 +580,19 @@ def test_run_single_rejects_non_int_interval(interval):
         run_single(SimConfig(t_max=10, realizations=1), snapshot_interval=interval)
 
 
-@pytest.fixture
-def collector_state():
-    """Restore the cyclic collector's state after the test."""
+@contextmanager
+def collector(enabled):
+    """Run the block with the cyclic collector on or off, then restore it."""
     collecting = gc.isenabled()
-    yield
-    if collecting:
-        gc.enable()
-    else:
-        gc.disable()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if collecting else gc.disable)()
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
-def test_run_single_restores_the_collector_state(collector_state, monkeypatch, collecting):
-    (gc.enable if collecting else gc.disable)()
+def test_run_single_leaves_the_collector_alone(monkeypatch, collecting):
     seen = []
     original = Simulation.step
 
@@ -595,24 +601,10 @@ def test_run_single_restores_the_collector_state(collector_state, monkeypatch, c
         return original(sim)
 
     monkeypatch.setattr(Simulation, "step", step)
-    run_single(SimConfig(n_peers=10, t_max=50, realizations=1))
-    assert seen == [False] * 50  # paused for the whole walk
-    assert gc.isenabled() is collecting
-
-
-def test_run_single_restores_the_collector_when_the_run_raises(collector_state, monkeypatch):
-    gc.enable()
-    original = Simulation.step
-
-    def step(sim):
-        if sim.t == 20:
-            raise RuntimeError("step failed")
-        return original(sim)
-
-    monkeypatch.setattr(Simulation, "step", step)
-    with pytest.raises(RuntimeError, match="step failed"):
+    with collector(collecting):
         run_single(SimConfig(n_peers=10, t_max=50, realizations=1))
-    assert gc.isenabled()
+        assert seen == [collecting] * 50
+        assert gc.isenabled() is collecting
 
 
 @pytest.mark.parametrize(
@@ -624,13 +616,31 @@ def test_run_single_restores_the_collector_when_the_run_raises(collector_state, 
     ],
     ids=["default", "literal", "churn"],
 )
-def test_a_paused_realization_leaves_no_cyclic_garbage(collector_state, config):
-    # run_single pauses the collector on the grounds that a realization
-    # creates no reference cycles; whatever it left would be found here
-    gc.enable()
-    gc.collect()
-    run_single(config)
-    assert gc.collect() == 0
+def test_a_realization_leaves_no_cyclic_garbage(config):
+    # a reference cycle would cost collector time on every run; with the
+    # collector off during the run, whatever cycle it made is found here
+    with collector(False):
+        gc.collect()
+        run_single(config)
+        assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
+def test_every_update_adds_one_version_and_marks_its_record(monkeypatch, literal):
+    # nothing counts updates; the store's version surplus over its nodes is that count
+    calls = []
+    original = Simulation.apply_update
+
+    def apply_update(sim, node, version, peer):
+        calls.append(node)
+        return original(sim, node, version, peer)
+
+    monkeypatch.setattr(Simulation, "apply_update", apply_update)
+    sim = Simulation(SimConfig(n_peers=30, p_leave=0.3, literal_traversal=literal, seed=11))
+    updated = [record.updated for record in (sim.step() for _ in range(3000))]
+    assert len(calls) > 1000
+    assert len(calls) == sim.store.total_versions - sim.store.node_count
+    assert [node for node in updated if node is not None] == calls
 
 
 def test_namespace_resolution_tracks_viewer_counts():
@@ -862,7 +872,7 @@ def test_update_sequences_outside_the_walk(n_peers, p_add, p_file, seed, updates
 
 def walk_state(sim):
     """Everything a step writes: preferences and index in dict order, the
-    store, the counters and the RNG."""
+    store, the clock, the update count and the RNG."""
     index, store = sim.index, sim.store
     return (
         [list(prefs.items()) for prefs in sim.peers._prefs],
@@ -878,7 +888,7 @@ def walk_state(sim):
         store._first,
         store._later,
         sim.t,
-        sim.updates_performed,
+        store.total_versions - store.node_count,  # updates performed
         sim.rng.getstate(),
     )
 
@@ -990,8 +1000,7 @@ def raise_value_error():
 CFG_2 = SimConfig(n_peers=10, t_max=300, realizations=2, seed=3)
 
 
-def test_a_worker_exception_is_raised_in_the_caller(two_cpus, monkeypatch, collector_state):
-    gc.enable()
+def test_a_worker_exception_is_raised_in_the_caller(two_cpus, monkeypatch):
     fail_at(monkeypatch, 0, raise_value_error)  # realization 0 runs in the worker
     with pytest.raises(ValueError) as excinfo:
         run(CFG_2, snapshot_interval=100, jobs=2)
@@ -999,22 +1008,16 @@ def test_a_worker_exception_is_raised_in_the_caller(two_cpus, monkeypatch, colle
     if hasattr(excinfo.value, "__notes__"):  # Python 3.11+: the worker's traceback
         assert "raised in realization worker" in excinfo.value.__notes__[0]
     assert_no_child_left()
-    assert gc.isenabled()
 
 
-def test_a_failure_in_the_callers_block_kills_and_reaps_the_worker(
-    two_cpus, monkeypatch, collector_state
-):
-    gc.enable()
+def test_a_failure_in_the_callers_block_kills_and_reaps_the_worker(two_cpus, monkeypatch):
     fail_at(monkeypatch, 1, raise_value_error)  # the last realization runs in the caller
     with pytest.raises(ValueError, match="realization failed"):
         run(CFG_2, snapshot_interval=100, jobs=2)
     assert_no_child_left()
-    assert gc.isenabled()
 
 
-def test_a_worker_that_exits_without_a_result_is_an_error(two_cpus, monkeypatch, collector_state):
-    gc.enable()
+def test_a_worker_that_exits_without_a_result_is_an_error(two_cpus, monkeypatch):
     caller = os.getpid()
 
     def exit_in_worker():
@@ -1026,7 +1029,6 @@ def test_a_worker_that_exits_without_a_result_is_an_error(two_cpus, monkeypatch,
     with pytest.raises(RuntimeError, match=r"worker \d+ exited without a result \(wait status 768\)"):
         run(CFG_2, snapshot_interval=100, jobs=2)
     assert_no_child_left()
-    assert gc.isenabled()
 
 
 def process_state(pid):

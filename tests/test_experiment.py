@@ -98,6 +98,31 @@ def test_spec_built_directly_takes_sweep_values_as_a_list_or_tuple():
     assert from_list == ExperimentSpec(base=FAST, sweep=("n_peers", (10, 20)))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("base", {"n_peers": 10}, "base must be a SimConfig, got {'n_peers': 10}"),
+        ("base", None, "base must be a SimConfig, got None"),
+        ("emit_dot", "yes", "emit_dot must be true or false, got 'yes'"),
+        ("emit_dot", 1, "emit_dot must be true or false, got 1"),
+        ("out_dir", 3, "out_dir must be a string, got 3"),
+        ("out_dir", b"results", "out_dir must be a string, got b'results'"),
+    ],
+    ids=repr,
+)
+def test_spec_built_directly_checks_its_fields(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentSpec(**{field: value})
+
+
+def test_spec_built_directly_keeps_a_string_out_dir_as_a_path(tmp_path, monkeypatch):
+    spec = ExperimentSpec(base=FAST, out_dir="results", snapshot_interval=100)
+    assert spec.out_dir == Path("results")
+    monkeypatch.chdir(tmp_path)
+    run_experiment(spec, jobs=1)
+    assert (tmp_path / "results" / "series.csv").exists()
+
+
 @pytest.mark.parametrize("emit_dot", ["no", 1, None], ids=repr)
 def test_spec_from_dict_rejects_a_non_bool_emit_dot(emit_dot):
     with pytest.raises(ValueError, match=f"emit_dot.*{re.escape(repr(emit_dot))}"):

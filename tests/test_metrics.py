@@ -22,11 +22,11 @@ from poptree.peers import PeerPopulation
 from support import ScriptedRandom, pick_popular
 
 
-def viewed_population(n_peers=10, majority_count=None):
+def viewed_population(n_peers=10):
     """Initial control tree with peer 0 viewing every version."""
     store = DirectoryStore()
     init_control_tree(store)
-    pop = PeerPopulation(n_peers, store, majority_count)
+    pop = PeerPopulation(n_peers, store)
     for node in (1, 2, 3, 4):
         pop.set_preference(0, node, 1)
     return store, pop
@@ -229,7 +229,7 @@ def test_histograms_equal_a_recount_by_the_reference_scan():
 
 def test_majority_fires_only_above_half():
     # N=10: six viewers are a majority, five are not
-    store, pop = viewed_population(n_peers=10, majority_count=6)
+    store, pop = viewed_population(n_peers=10)
     store.add_version(1, 0.8, (2, 3, 4), created_at=20)
     tracker = MajorityTracker()
     for peer in range(5):
@@ -247,7 +247,7 @@ def test_majority_fires_only_above_half():
 
 
 def test_majority_fires_once_even_after_recrossing():
-    store, pop = viewed_population(n_peers=4, majority_count=3)
+    store, pop = viewed_population(n_peers=4)
     tracker = MajorityTracker()
     for peer in (1, 2):
         pop.set_preference(peer, 1, 1)  # with peer 0: three viewers

@@ -20,13 +20,13 @@ from support import (
 )
 
 
-def build_population(n_peers=10, versions=1, majority_count=None):
+def build_population(n_peers=10, versions=1):
     """A population over a store holding node 1 with `versions` versions."""
     store = DirectoryStore()
     store.add_node(True, 0.5, created_at=0)
     for _ in range(versions - 1):
         store.add_version(1, 0.5, (), created_at=0)
-    pop = PeerPopulation(n_peers, store, majority_count)
+    pop = PeerPopulation(n_peers, store)
     return store, pop
 
 
@@ -181,6 +181,16 @@ def test_population_needs_at_least_one_peer():
     store = DirectoryStore()
     with pytest.raises(ValueError):
         PeerPopulation(0, store)
+
+
+@pytest.mark.parametrize("n_peers", [1, 2, 3, 4, 5])
+def test_a_majority_is_strictly_more_than_half_the_population(n_peers):
+    _, pop = build_population(n_peers=n_peers)
+    for peer in range(n_peers // 2):  # half the peers, rounded down
+        pop.set_preference(peer, 1, 1)
+    assert pop.index.drain_crossings() == []
+    pop.set_preference(n_peers // 2, 1, 1)
+    assert pop.index.drain_crossings() == [(1, 1)]
 
 
 # --- randomized operation sequences ----------------------------------------
