@@ -107,6 +107,11 @@ class TraversalRecord(NamedTuple):
     updated: int | None
 
 
+# _tuple_new(TraversalRecord, (peer, path, mean_degree, updated)) builds a
+# record without the Python frame of the generated __new__
+_tuple_new = tuple.__new__
+
+
 def choose_update_index(mean_degree: float, k: int, p: float) -> int:
     """Which of the k path entries to update, given the path's mean
     out-degree and a uniform draw p in [0, 1).
@@ -149,17 +154,32 @@ def choose_update_index(mean_degree: float, k: int, p: float) -> int:
 
 
 class Simulation:
-    """Mutable state of one realization plus the per-step dynamics."""
+    """Mutable state of one realization plus the per-step dynamics.
+
+    The walk is bound once, to the RNG and the population, when the
+    simulation is made and again whenever `rng` is assigned, so a step
+    passes it only the peer.  Nothing bound refers back to the simulation.
+    """
 
     def __init__(self, config: SimConfig, realization: int = 0):
         self.config = config
-        self.rng = random.Random(derive_seed(config.seed, f"realization-{realization}"))
         self.store = DirectoryStore()
         self.peers = PeerPopulation(config.n_peers, self.store)
         init_control_tree(self.store)
         for node in (1, 2, 3, 4):
             self.peers.set_preference(0, node, 1)  # peer 0 starts on all initial versions
         self.t = 0
+        self.rng = random.Random(derive_seed(config.seed, f"realization-{realization}"))
+
+    @property
+    def rng(self) -> random.Random:
+        """The realization's RNG; every draw of a step comes from it."""
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng: random.Random) -> None:
+        self._rng = rng
+        self._walk = self.peers.walker(rng, self.config.literal_traversal)
 
     @property
     def index(self):
@@ -170,7 +190,7 @@ class Simulation:
         first churned out with probability p_leave (the replacement peer
         then walks immediately)."""
         cfg = self.config
-        rng = self.rng
+        rng = self._rng
         # randrange(n_peers), same draw: the body of Random._randbelow
         n = cfg.n_peers
         bits = n.bit_length()
@@ -186,10 +206,10 @@ class Simulation:
         """Walk from the root to a leaf as `peer`, then maybe update one
         node on the path.
 
-        The walk itself is `PeerPopulation.walk`: at each node the peer
-        views its preferred version or, without one, the default (a
-        uniform pick among the most viewed versions), and re-picks in
-        proportion to viewer counts on a failed quality test.
+        The walk itself is `PeerPopulation.walk`, bound to `rng`: at each
+        node the peer views its preferred version or, without one, the
+        default (a uniform pick among the most viewed versions), and
+        re-picks in proportion to viewer counts on a failed quality test.
 
         The path holds the directory nodes occupied, the root included,
         and the degree sum counts the versions finally occupied there, so
@@ -205,20 +225,20 @@ class Simulation:
         checks.
         """
         cfg = self.config
-        literal = cfg.literal_traversal
-        path, degree = self.peers.walk(peer, self.rng, literal)
-        if literal:
+        path, degree = self._walk(peer)
+        if cfg.literal_traversal:
             del path[0]
             if not path:
-                return TraversalRecord(peer, [], 0.0, None)
+                return _tuple_new(TraversalRecord, (peer, [], 0.0, None))
         mean_degree = degree / len(path)
-        p = self.rng.random()
-        if self.rng.random() >= cfg.p_update:
-            return TraversalRecord(peer, path, mean_degree, None)
+        random_draw = self._rng.random
+        p = random_draw()
+        if random_draw() >= cfg.p_update:
+            return _tuple_new(TraversalRecord, (peer, path, mean_degree, None))
         # a literal walk can sum degree 0 over 2+ entries: index 0, the d -> 0+ limit
         target = path[choose_update_index(mean_degree, len(path), p) if degree else 0]
         self.apply_update(target, self.peers._prefs[peer][target], peer)
-        return TraversalRecord(peer, path, mean_degree, target)
+        return _tuple_new(TraversalRecord, (peer, path, mean_degree, target))
 
     def apply_update(self, node: int, version: int, peer: int) -> int:
         """Publish a new version of `node`, derived from its version
@@ -228,14 +248,16 @@ class Simulation:
         quality.  It then either drops one link chosen uniformly (an
         ineffectual delete when there are no links falls through to an
         add) or attaches a brand-new node, file or directory.  The updater
-        becomes the first viewer of everything it just created.
+        becomes the first viewer of everything it just created: its
+        preference moves as the walk moves it, an increment of the new
+        version, then a decrement of the version it left, if any.
         """
         store = self.store
         children = store._children[store.id_of(node, version)]
         if children is None:
             raise ValueError("only directory versions can be updated")
         cfg = self.config
-        rng = self.rng
+        rng = self._rng
         quality = sample_quality(cfg.s, rng)
         new_child = None
         if rng.random() > cfg.p_add and children:
@@ -249,9 +271,17 @@ class Simulation:
             new_child = store.add_node(child_is_dir, sample_quality(cfg.s, rng), self.t)
             children = children + (new_child,)
         fresh = store.add_version(node, quality, children, self.t)
-        self.peers.set_preference(peer, node, fresh)
+        peers = self.peers
+        index = peers.index
+        prefs = peers._prefs[peer]
+        old = prefs.get(node)
+        prefs[node] = fresh
+        index.increment(node, fresh)
+        if old is not None:
+            index.decrement(node, old)
         if new_child is not None:
-            self.peers.set_preference(peer, new_child, 1)
+            prefs[new_child] = 1
+            index.increment(new_child, 1)
         return fresh
 
 

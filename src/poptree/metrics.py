@@ -10,6 +10,7 @@ viewer, and the viewers-by-quality table covers every version.
 from __future__ import annotations
 
 import random
+from itertools import compress, count
 from typing import NamedTuple
 
 from .directory import DirectoryStore, MainTree
@@ -95,24 +96,36 @@ def degree_histogram(
     most viewed one, ties broken at random.  Nodes nobody views any more
     are left out.
 
-    The pick is `index.popular`, the pick a newcomer makes.  Nodes go in
-    id order, so tie draws come in a fixed order."""
+    The pick is `index.popular`, the pick a newcomer makes.  A known
+    leader is that pick, with no draw; every viewed node without a counts
+    dict has one.  The other nodes go through `popular` in id order, so
+    tie draws come in a fixed order."""
     histogram: dict[int, int] = {}
     children = store._children
-    for node in index.viewed_nodes():
-        j = index.popular(node, store.version_count(node), rng)
-        degree = len(children[store.id_of(node, j)] or ())  # a file has degree 0
+    first = store._first
+    later = store._later
+    popular = index.popular
+    for node, leader in compress(enumerate(index._leader), index._totals):
+        # leader 0: the node has a counts dict, so two or more versions
+        j = leader or popular(node, len(later[node]) + 1, rng)
+        g = first[node] if j == 1 else later[node][j - 2]
+        degree = len(children[g] or ())  # a file has degree 0
         histogram[degree] = histogram.get(degree, 0) + 1
     return histogram
 
 
 def viewers_histogram(index: PopularityIndex) -> dict[int, int]:
-    """Frequency of viewer counts over all versions with viewers."""
+    """Frequency of viewer counts over all versions with viewers.  A viewed
+    node without a counts dict has one viewed version, holding its total."""
     histogram: dict[int, int] = {}
-    viewed_versions = index.viewed_versions
-    for node in index.viewed_nodes():
-        for _version, count in viewed_versions(node):
-            histogram[count] = histogram.get(count, 0) + 1
+    counts_of = index._counts
+    for node, total in compress(enumerate(index._totals), index._totals):
+        counts = counts_of.get(node)
+        if counts is None:
+            histogram[total] = histogram.get(total, 0) + 1
+        else:
+            for c in counts.values():
+                histogram[c] = histogram.get(c, 0) + 1
     return histogram
 
 
@@ -121,18 +134,26 @@ def viewers_by_quality(
 ) -> list[QualityBucket]:
     """Mean viewers per version, bucketed by quality decile.  Every version
     counts, viewed or not: the store counts its quality column per decile.
-    Viewers are summed over the viewed nodes' viewed versions, so unviewed
-    nodes and versions cost no lookup.  A quality is below 1 (the store
-    checks it), and quality * 10 then rounds to below 10, so
-    int(quality * 10) is the decile, 0 to 9."""
+    Viewers are summed over the viewed nodes' viewed versions, read from
+    the index and the store's columns, so unviewed nodes and versions cost
+    nothing.  A quality is below 1 (the store checks it), and quality * 10
+    then rounds to below 10, so int(quality * 10) is the decile, 0 to 9."""
     versions = store.versions_by_decile
     viewers = [0] * 10
     quality = store._quality
-    id_of = store.id_of
-    viewed_versions = index.viewed_versions
-    for node in index.viewed_nodes():
-        for version, count in viewed_versions(node):
-            viewers[int(quality[id_of(node, version)] * 10)] += count
+    first = store._first
+    later = store._later
+    counts_of = index._counts
+    totals = index._totals
+    for node, leader, total in compress(zip(count(), index._leader, totals), totals):
+        counts = counts_of.get(node)
+        if counts is None:  # the leader holds every viewer
+            g = first[node] if leader == 1 else later[node][leader - 2]
+            viewers[int(quality[g] * 10)] += total
+        else:
+            ids = later[node]
+            for version, c in counts.items():
+                viewers[int(quality[first[node] if version == 1 else ids[version - 2]] * 10)] += c
     return [
         QualityBucket(b / 10, (b + 1) / 10, versions[b], viewers[b]) for b in range(10)
     ]
@@ -141,11 +162,11 @@ def viewers_by_quality(
 class MajorityTracker:
     """Watches for versions whose viewer count first exceeds half the
     population.  Each version fires once, at the exact step it crossed,
-    even if churn later drops it below the line and it crosses again."""
+    even if churn later drops it below the line and it crosses again: the
+    index queues a version only at its first crossing."""
 
     def __init__(self):
         self.events: list[MajorityEvent] = []
-        self._fired: set[tuple[int, int]] = set()
 
     def observe(
         self, store: DirectoryStore, index: PopularityIndex, t: int
@@ -153,10 +174,6 @@ class MajorityTracker:
         """Collect the crossings queued in `index`, stamped with step `t`."""
         fresh = []
         for node, version in index.drain_crossings():
-            key = (node, version)
-            if key in self._fired:
-                continue
-            self._fired.add(key)
             v = store.version(node, version)
             fresh.append(MajorityEvent(node, version, v.quality, v.created_at, t))
         if fresh:

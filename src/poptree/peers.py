@@ -11,7 +11,6 @@ slot but restarts with a blank slate, as if replaced by a newcomer.
 from __future__ import annotations
 
 import random
-from itertools import compress, count
 
 from .directory import DirectoryStore, NodeVersion
 
@@ -28,8 +27,9 @@ class PopularityIndex:
     lives until the node has no viewers, never folded back, so every draw
     sees the dense counts in the dense order.  Zero counts are pruned, so
     draws and max scans only touch versions that still have viewers.  When
-    a majority count is set, versions whose count climbs to it are queued
-    for the metrics layer.
+    a majority count is set, a version is queued for the metrics layer the
+    first time its count climbs to it, and never again, so the queue holds
+    each version at most once even when nobody drains it.
 
     Each node also tracks its leader, the version that alone holds the top
     count, so that the default view needs no scan.  Two lists indexed by
@@ -60,30 +60,21 @@ class PopularityIndex:
         self._viewed_nodes = 0
         self._majority_count = majority_count
         self._crossings: list[tuple[int, int]] = []
+        self._crossed: set[tuple[int, int]] = set()  # every version ever queued
 
     def counts_for(self, node: int) -> dict[int, int]:
         """Viewer counts for `node`, versions with at least one viewer only.
         A node's dict is returned live, and callers must not mutate it; a
         node without one gets a fresh `{leader: total}`."""
         counts = self._counts.get(node)
-        return counts if counts is not None else dict(self.viewed_versions(node))
-
-    def viewed_versions(self, node: int):
-        """(version, count) for each viewed version of `node`, in the order
-        of its counts, without making a dict for a node that has none."""
-        counts = self._counts.get(node)
         if counts is not None:
-            return counts.items()
+            return counts
         total = self._totals[node] if node < len(self._totals) else 0
-        return ((self._leader[node], total),) if total else ()
+        return {self._leader[node]: total} if total else {}
 
     @property
     def viewed_node_count(self) -> int:
         return self._viewed_nodes
-
-    def viewed_nodes(self):
-        """The viewed nodes in id order, lazily: no total may change meanwhile."""
-        return compress(count(), self._totals)
 
     def popular(self, node: int, n_versions: int, rng: random.Random) -> int:
         """The version of `node` a newcomer views, out of its `n_versions`:
@@ -148,7 +139,10 @@ class PopularityIndex:
                     if c == counts[leader]:  # tied with the leader
                         leaders[node] = 0
         if c == self._majority_count:
-            self._crossings.append((node, version))
+            key = (node, version)
+            if key not in self._crossed:
+                self._crossed.add(key)
+                self._crossings.append(key)
 
     def decrement(self, node: int, version: int) -> None:
         total = self._totals[node] - 1
@@ -171,7 +165,8 @@ class PopularityIndex:
             self._leader[node] = 0  # the bound now covers every count
 
     def drain_crossings(self) -> list[tuple[int, int]]:
-        """Versions that reached the majority count since the last drain."""
+        """Versions that first reached the majority count since the last
+        drain."""
         if not self._crossings:
             return []
         crossed = self._crossings
@@ -267,6 +262,20 @@ class PeerPopulation:
         to a uniformly picked child.  With `literal` the degree sum counts
         every version as first viewed instead, before any re-pick.
 
+        This is `walker(rng, literal)(peer)`.
+        """
+        return self.walker(rng, literal)(peer)
+
+    def walker(self, rng: random.Random, literal: bool = False):
+        """`walk` with `rng` and `literal` bound: a function of the peer
+        alone, for a caller that walks many times with the same RNG.
+
+        It binds the RNG's methods, the store's columns and the index's
+        lists and methods once.  Each of those is only ever changed in
+        place, so the walk keeps reading their live state.  It holds the
+        RNG, the store's columns, the index's lists and methods and the
+        preferences list, but not this population.
+
         Its integer draws inline the body of `Random._randbelow`: for an int
         n >= 1, `getrandbits(n.bit_length())` until the value is below n is
         the draw `randrange(n)` makes.
@@ -279,66 +288,72 @@ class PeerPopulation:
         children_of = store._children
         first = store._first
         later = store._later
-        prefs = self._prefs[peer]
+        prefs_of = self._prefs
         index = self.index
         counts_of = index._counts
         # the index's node-indexed lists grow in place, so these stay live
         totals = index._totals
         leaders = index._leader
+        popular = index.popular
         increment = index.increment
         decrement = index.decrement
-        path = []
-        append = path.append
-        degree = viewed_degree = 0
-        node = 1
-        while True:
-            j = prefs.get(node)
-            if j is None:  # the default view, which becomes the preference
-                j = leaders[node] if node < len(leaders) else 0
-                if not j:  # no known leader: scan, as popular does
-                    more = later.get(node)
-                    j = index.popular(node, 1 if more is None else len(more) + 1, rng)
-                prefs[node] = j
-                increment(node, j)
-            g = first[node] if j == 1 else later[node][j - 2]
-            if literal and children_of[g]:
-                viewed_degree += len(children_of[g])
-            if random_draw() >= quality[g]:  # the quality test also applies to files
-                # the peer's own view keeps the node's counts non-empty, so
-                # select's uniform fallback cannot arise here
-                n = totals[node]
-                bits = n.bit_length()
-                r = getrandbits(bits)
-                while r >= n:
+
+        def walk(peer: int) -> tuple[list[int], int]:
+            prefs = prefs_of[peer]
+            path = []
+            append = path.append
+            degree = viewed_degree = 0
+            node = 1
+            while True:
+                j = prefs.get(node)
+                if j is None:  # the default view, which becomes the preference
+                    j = leaders[node] if node < len(leaders) else 0
+                    if not j:  # no known leader: scan, as popular does
+                        more = later.get(node)
+                        j = popular(node, 1 if more is None else len(more) + 1, rng)
+                    prefs[node] = j
+                    increment(node, j)
+                g = first[node] if j == 1 else later[node][j - 2]
+                if literal and children_of[g]:
+                    viewed_degree += len(children_of[g])
+                if random_draw() >= quality[g]:  # the quality test also applies to files
+                    # the peer's own view keeps the node's counts non-empty, so
+                    # select's uniform fallback cannot arise here
+                    n = totals[node]
+                    bits = n.bit_length()
                     r = getrandbits(bits)
-                counts = counts_of.get(node)
-                if counts is not None:  # without a dict, `j` holds every viewer
-                    for k, c in counts.items():
-                        r -= c
-                        if r < 0:
-                            break
-                    if k != j:
-                        prefs[node] = k
-                        increment(node, k)
-                        decrement(node, j)
-                        g = first[node] if k == 1 else later[node][k - 2]
-            children = children_of[g]
-            if children is None:  # a file
-                break
-            n = len(children)
-            append(node)
-            degree += n
-            if n > 1:
-                bits = n.bit_length()
-                r = getrandbits(bits)
-                while r >= n:
+                    while r >= n:
+                        r = getrandbits(bits)
+                    counts = counts_of.get(node)
+                    if counts is not None:  # without a dict, `j` holds every viewer
+                        for k, c in counts.items():
+                            r -= c
+                            if r < 0:
+                                break
+                        if k != j:
+                            prefs[node] = k
+                            increment(node, k)
+                            decrement(node, j)
+                            g = first[node] if k == 1 else later[node][k - 2]
+                children = children_of[g]
+                if children is None:  # a file
+                    break
+                n = len(children)
+                append(node)
+                degree += n
+                if n > 1:
+                    bits = n.bit_length()
                     r = getrandbits(bits)
-                node = children[r]
-            elif n:
-                node = children[0]
-            else:
-                break
-        return path, viewed_degree if literal else degree
+                    while r >= n:
+                        r = getrandbits(bits)
+                    node = children[r]
+                elif n:
+                    node = children[0]
+                else:
+                    break
+            return path, viewed_degree if literal else degree
+
+        return walk
 
     def churn_reset(self, peer: int) -> None:
         """Replace `peer` with a fresh one: every preference (and so every

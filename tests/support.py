@@ -223,7 +223,8 @@ def recount_preferences(peers):
 # The popularity index before it went sparse: every viewed node keeps a
 # {version: count} dict, made at its first view.  A count that reaches 0 is
 # deleted, and so is a node's dict once it is empty.  The leader and bound
-# bookkeeping is the sparse index's.  test_peers.py holds the sparse index to
+# bookkeeping, and the rule that queues a version's first majority crossing
+# only, are the sparse index's.  test_peers.py holds the sparse index to
 # it operation for operation.
 
 
@@ -236,6 +237,7 @@ class DenseIndex:
         self._viewed_nodes = 0
         self._majority_count = majority_count
         self._crossings: list[tuple[int, int]] = []
+        self._crossed: set[tuple[int, int]] = set()
 
     def counts_for(self, node):
         return self._counts.get(node, {})
@@ -275,7 +277,8 @@ class DenseIndex:
                 self._bound[node] = c
                 if c == counts[leader]:
                     self._leader[node] = 0
-        if c == self._majority_count:
+        if c == self._majority_count and (node, version) not in self._crossed:
+            self._crossed.add((node, version))
             self._crossings.append((node, version))
 
     def decrement(self, node, version):

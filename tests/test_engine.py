@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +28,7 @@ from poptree.engine import (
     run_single,
 )
 from poptree.metrics import MajorityTracker, Snapshot
+from poptree.peers import PopularityIndex
 from support import (
     ScriptedRandom,
     assert_sparse_rule,
@@ -275,6 +277,15 @@ def test_quality_draws_below_q_never_deviate(monkeypatch):
     # preferences exactly and never re-pick.  With p_update=0 only a re-pick
     # that changes the peer's version calls index.decrement, and nine other
     # peers on a second version of every node make almost any re-pick a change.
+    # The walk binds the index's methods and the RNG's when it is bound, so
+    # both are patched before the simulation and its RNG are set.
+    decrement_calls = []
+    original = PopularityIndex.decrement
+    monkeypatch.setattr(
+        PopularityIndex,
+        "decrement",
+        lambda index, *args: decrement_calls.append(args) or original(index, *args),
+    )
     sim = Simulation(SimConfig(p_update=0.0))
     for node in (1, 2, 3, 4):
         sim.store.add_version(node, 0.5, sim.store.version(node, 1).children, created_at=0)
@@ -282,15 +293,9 @@ def test_quality_draws_below_q_never_deviate(monkeypatch):
             sim.peers.set_preference(peer, node, 2)
     # only random() is pinned: a subclass overriding it would also pin the
     # integer draws, which Random then derives from random()
-    sim.rng = random.Random(3)
-    sim.rng.random = lambda: 0.0
-    decrement_calls = []
-    original = sim.index.decrement
-    monkeypatch.setattr(
-        sim.index,
-        "decrement",
-        lambda *args: decrement_calls.append(args) or original(*args),
-    )
+    rng = random.Random(3)
+    rng.random = lambda: 0.0
+    sim.rng = rng
     for _ in range(100):
         record = sim.traverse(0)
         # a re-pick would rewrite a preference, so the walk occupied v1 throughout
@@ -693,6 +698,18 @@ def test_metrics_do_not_perturb_the_trajectory():
         )
 
 
+def test_direct_stepping_queues_each_crossing_version_once():
+    # nothing observes a Simulation stepped directly, so nothing drains its
+    # crossing queue; with churn, versions fall below the majority and climb
+    # back, and each must still be queued once
+    sim = Simulation(SimConfig(n_peers=10, p_leave=0.2, seed=4))
+    for _ in range(5000):
+        sim.step()
+    queued = sim.index._crossings
+    assert len(queued) > 50
+    assert len(queued) == len(set(queued))
+
+
 def test_majority_events_keep_their_exact_step():
     # run_single only looks for events on steps that queued a crossing; a
     # tracker observing every step must see the same events at the same steps
@@ -908,6 +925,26 @@ def test_fused_walk_matches_the_reference_walk(n_peers, p_leave, p_update, liter
         n_peers=n_peers, p_leave=p_leave, p_update=p_update, literal_traversal=literal, seed=seed
     )
     assert_steps_match_the_reference(config, steps)
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
+def test_assigning_rng_reroutes_every_draw_of_a_step(literal):
+    # the walk is bound to the RNG when one is assigned: every draw of a step
+    # (the peer, churn, the walk, the update position and decision, the
+    # update itself) must then come from the new RNG, none from the old
+    config = SimConfig(n_peers=10, p_leave=0.3, literal_traversal=literal, seed=5)
+    sim, reference = Simulation(config), Simulation(config)
+    replaced = sim.rng
+    untouched = replaced.getstate()
+    sim.rng, reference.rng = random.Random(99), random.Random(99)
+    for _ in range(300):
+        assert sim.step() == reference_step(reference)
+        assert walk_state(sim) == walk_state(reference)
+    assert replaced.getstate() == untouched
+    # nothing bound refers back to the simulation: reference counting alone frees it
+    freed = weakref.ref(sim)
+    del sim
+    assert freed() is None
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,13 @@ def test_benchmark_worker_runs_a_tiny_experiment(tmp_path, mode):
             "peers.index.increment",
         ):
             assert boundaries[name]["calls"] > 0, name
+    if mode == "memory":
+        # the tracemalloc snapshot is taken when run_single calls
+        # metrics.degree_histogram, so a run that stops calling it fails
+        # here instead of with a KeyError in a benchmark run
+        memory = result["memory"]
+        assert memory["traced_bytes"]
+        assert memory["versions"] >= 4  # the starting tree's four versions
 
 
 def test_a_run_does_not_load_the_namespace_model():

@@ -193,6 +193,20 @@ def test_a_majority_is_strictly_more_than_half_the_population(n_peers):
     assert pop.index.drain_crossings() == [(1, 1)]
 
 
+def test_a_version_is_queued_only_at_its_first_crossing():
+    # nothing drains the queue here, as when a Simulation is stepped directly
+    _, pop = build_population(n_peers=3)  # two viewers are a majority
+    pop.set_preference(0, 1, 1)
+    pop.set_preference(1, 1, 1)
+    pop.churn_reset(1)  # back below the line
+    pop.set_preference(2, 1, 1)  # and up to it again
+    assert pop.index._crossings == [(1, 1)]
+    assert pop.index.drain_crossings() == [(1, 1)]
+    pop.churn_reset(2)
+    pop.set_preference(2, 1, 1)
+    assert pop.index.drain_crossings() == []
+
+
 # --- randomized operation sequences ----------------------------------------
 
 
@@ -559,6 +573,9 @@ index_operations = st.lists(
 # hold in both
 @example([("set", 0, 1, 1), ("set", 1, 1, 1), ("set", 2, 1, 2), ("view", 1, 0)])
 @example([("set", 0, 1, 1), ("set", 1, 1, 1), ("set", 0, 1, 2), ("leave", 1, 1)])
+# a version that falls back below the majority count and climbs to it again
+# is queued only the first time
+@example([("set", 0, 1, 1), ("set", 1, 1, 1), ("set", 2, 1, 1), ("leave", 2, 1), ("set", 3, 1, 1)])
 def test_sparse_index_matches_the_dense_reference(ops):
     # increments, moves (an increment, then a decrement), decrements and churn
     # driven straight into both
