@@ -16,7 +16,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from math import expm1, log, log1p
+from math import expm1, inf, log, log1p
 from typing import NamedTuple
 
 from .directory import DirectoryStore, init_control_tree, main_tree, sample_quality
@@ -97,18 +97,16 @@ class SimConfig:
 
 class TraversalRecord(NamedTuple):
     """What one walk did: the directory nodes it occupied (root first in
-    the default walk), the mean out-degree of the versions it occupied
-    there, and the node updated, if any.  The peer's preference at each
-    path node is the version it occupied."""
+    the default walk) and the node updated, if any.  The peer's preference
+    at each path node is the version it occupied."""
 
     peer: int
     path: list[int]
-    mean_degree: float
     updated: int | None
 
 
-# _tuple_new(TraversalRecord, (peer, path, mean_degree, updated)) builds a
-# record without the Python frame of the generated __new__
+# _tuple_new(TraversalRecord, (peer, path, updated)) builds a record
+# without the Python frame of the generated __new__
 _tuple_new = tuple.__new__
 
 
@@ -124,14 +122,15 @@ def choose_update_index(mean_degree: float, k: int, p: float) -> int:
     mean_degree 0 is accepted only for k == 1: for k >= 2 the staircase
     has no steps at d = 0.  A literal walk counts the versions as first
     viewed, so its degree sum can be 0 over several entries; `traverse`
-    then takes index 0, the d -> 0+ limit, without calling this.
+    then takes index 0, the d -> 0+ limit, without calling this.  A NaN or
+    infinite mean_degree is refused.
     """
     if k < 1:
         raise ValueError("path length k must be >= 1")
     if not 0.0 <= p < 1.0:
         raise ValueError("p must be in [0, 1)")
-    if mean_degree < 0.0:
-        raise ValueError("mean_degree must be >= 0")
+    if not 0.0 <= mean_degree < inf:
+        raise ValueError(f"mean_degree must be finite and >= 0, got {mean_degree!r}")
     if k == 1:
         return 0
     if abs(mean_degree - 1.0) < _DEGREE_EPS:
@@ -200,45 +199,40 @@ class Simulation:
         if rng.random() < cfg.p_leave:
             self.peers.churn_reset(peer)
         self.t += 1
-        return self.traverse(peer)
+        return self._traverse(peer)
 
     def traverse(self, peer: int) -> TraversalRecord:
         """Walk from the root to a leaf as `peer`, then maybe update one
         node on the path.
 
-        The walk itself is `PeerPopulation.walk`, bound to `rng`: at each
-        node the peer views its preferred version or, without one, the
-        default (a uniform pick among the most viewed versions), and
-        re-picks in proportion to viewer counts on a failed quality test.
-
-        The path holds the directory nodes occupied, the root included,
-        and the degree sum counts the versions finally occupied there, so
-        deviated-from versions never contribute.  The walk leaves the
-        peer's preference at each path node on the version it occupied,
-        so the update target's version is read from that preference.
-
-        With `literal_traversal` the walk follows the pseudocode instead:
-        degrees are counted for the versions as first viewed (before any
-        deviation) and the root never enters the path, so a walk that falls
-        straight onto a file or a childless root updates nothing.  It draws
-        the same RNG calls in the same order; it is kept for sensitivity
-        checks.
+        The walk is `PeerPopulation.walker`'s, bound to `rng`: the peer
+        views its preferred version or, without one, the default (a uniform
+        pick among the most viewed versions), and re-picks in proportion to
+        viewer counts on a failed quality test.  It leaves the peer's
+        preference at each path node on the version it occupied, so the
+        update target's version is read from there.  A literal walk's path
+        can be empty, which updates nothing and draws no more, and its
+        degree sum can be 0 over several entries, which takes index 0, the
+        d -> 0+ limit of the staircase.  A peer outside the population is
+        refused before any draw or write.
         """
-        cfg = self.config
+        if not 0 <= peer < self.config.n_peers:
+            raise IndexError(f"peer {peer} not in range(n_peers={self.config.n_peers})")
+        return self._traverse(peer)
+
+    def _traverse(self, peer: int) -> TraversalRecord:
+        """`traverse` of a peer known to be in the population."""
         path, degree = self._walk(peer)
-        if cfg.literal_traversal:
-            del path[0]
-            if not path:
-                return _tuple_new(TraversalRecord, (peer, [], 0.0, None))
-        mean_degree = degree / len(path)
+        if not path:
+            return _tuple_new(TraversalRecord, (peer, path, None))
         random_draw = self._rng.random
         p = random_draw()
-        if random_draw() >= cfg.p_update:
-            return _tuple_new(TraversalRecord, (peer, path, mean_degree, None))
-        # a literal walk can sum degree 0 over 2+ entries: index 0, the d -> 0+ limit
-        target = path[choose_update_index(mean_degree, len(path), p) if degree else 0]
+        if random_draw() >= self.config.p_update:
+            return _tuple_new(TraversalRecord, (peer, path, None))
+        k = len(path)
+        target = path[choose_update_index(degree / k, k, p) if degree else 0]
         self.apply_update(target, self.peers._prefs[peer][target], peer)
-        return _tuple_new(TraversalRecord, (peer, path, mean_degree, target))
+        return _tuple_new(TraversalRecord, (peer, path, target))
 
     def apply_update(self, node: int, version: int, peer: int) -> int:
         """Publish a new version of `node`, derived from its version
@@ -251,12 +245,17 @@ class Simulation:
         becomes the first viewer of everything it just created: its
         preference moves as the walk moves it, an increment of the new
         version, then a decrement of the version it left, if any.
+
+        A peer outside the population, like an unknown version, is refused
+        before any draw or write.
         """
+        cfg = self.config
+        if not 0 <= peer < cfg.n_peers:
+            raise IndexError(f"peer {peer} not in range(n_peers={cfg.n_peers})")
         store = self.store
         children = store._children[store.id_of(node, version)]
         if children is None:
             raise ValueError("only directory versions can be updated")
-        cfg = self.config
         rng = self._rng
         quality = sample_quality(cfg.s, rng)
         new_child = None

@@ -58,7 +58,7 @@ class Namespace:
         self._entries: dict[Key, dict[PeerId, ValueRecord]] = {}
         self._keys_by_peer: dict[PeerId, set[Key]] = {}
         self._name_of_key: dict[Key, str] = {}
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = rng
 
     def key_for(self, name: str) -> Key:
         """Digest a name, aborting the run if it collides with another name."""
@@ -87,10 +87,16 @@ class Namespace:
         stored = self._entries.get(key)
         if not stored:
             return set()
-        values = list(stored.values())
-        if limit is not None and limit < len(values):
-            values = self._rng.sample(values, limit)
-        return set(values)
+        return set(self._sample(list(stored.values()), limit))
+
+    def _sample(self, values: list, limit: int | None) -> list:
+        """`values`, or `limit` of them sampled uniformly without replacement
+        with the namespace's rng, which a limit below their count needs."""
+        if limit is None or limit >= len(values):
+            return values
+        if self._rng is None:
+            raise ValueError(f"a limit of {limit} below {len(values)} values needs an rng to sample")
+        return self._rng.sample(values, limit)
 
     def remove_peer(self, peer: PeerId) -> None:
         """Drop every value `peer` has stored, under every key."""
@@ -110,9 +116,8 @@ class Namespace:
         the registrations, the way a download cutoff would see them.  Ties
         keep first-registration order, so the result is reproducible.
         """
-        registrations = list(self._entries.get(self.key_for(name), {}).values())
-        if limit is not None and limit < len(registrations):
-            registrations = self._rng.sample(registrations, limit)
+        stored = self._entries.get(self.key_for(name), {})
+        registrations = self._sample(list(stored.values()), limit)
         counts: dict[ValueRecord, int] = {}
         for record in registrations:
             counts[record] = counts.get(record, 0) + 1
@@ -128,7 +133,7 @@ def view(
     order.  Each peer stores, under each node's key, the record of the
     version it views: named "node-<i> v<j>", with the digest of
     "node-<i>/v<j>" as its content reference.  Limited `get`/`resolve`
-    calls on the result sample with `rng`.
+    calls on the result sample with `rng`, and need one to sample.
     """
     namespace = Namespace(rng)
     for peer, prefs in enumerate(preferences):

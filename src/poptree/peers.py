@@ -211,7 +211,7 @@ class PeerPopulation:
         applies: a uniform pick among the most viewed versions, which then
         becomes the peer's preference.
 
-        This is the single-node API.  `walk` inlines the same pick, and
+        This is the single-node API.  `walker` inlines the same pick, and
         the tests hold it to a walk built on this method.
         """
         j = self._prefs[peer].get(node)
@@ -227,8 +227,8 @@ class PeerPopulation:
         With no viewers anywhere on the node the ratio is undefined, so the
         pick falls back to uniform over all versions.
 
-        This is the single-node API.  `walk` inlines the same re-pick, and
-        the tests hold it to a walk built on this method.
+        This is the single-node API.  `walker` inlines the same re-pick,
+        and the tests hold it to a walk built on this method.
         """
         n_versions = self.store.version_count(node)
         index = self.index
@@ -247,38 +247,29 @@ class PeerPopulation:
         self.set_preference(peer, node, j)
         return self.store.version(node, j)
 
-    def walk(
-        self, peer: int, rng: random.Random, literal: bool = False
-    ) -> tuple[list[int], int]:
-        """Walk from the root to a leaf as `peer`; return the directory
-        nodes occupied, the root included, and the sum of the out-degrees
-        of the versions finally occupied there.  Depth only grows, so no
-        node appears twice, and the peer's preference at each path node is
-        the version it occupied: a re-pick rewrites the preference.
-
-        At each node the peer views as `viewing` does, takes the quality
-        test with one `rng.random()` draw and, on failure, re-picks as
-        `select` does, with the same draws and index writes; it then moves
-        to a uniformly picked child.  With `literal` the degree sum counts
-        every version as first viewed instead, before any re-pick.
-
-        This is `walker(rng, literal)(peer)`.
-        """
-        return self.walker(rng, literal)(peer)
-
     def walker(self, rng: random.Random, literal: bool = False):
-        """`walk` with `rng` and `literal` bound: a function of the peer
-        alone, for a caller that walks many times with the same RNG.
+        """The walk with `rng` and `literal` bound: `walk(peer)` walks from
+        the root to a leaf as `peer` and returns the directory nodes
+        occupied, the root included, and the sum of the out-degrees of the
+        versions finally occupied there.  No node appears twice, and the
+        peer's preference at each path node is the version it occupied.  At
+        each node the peer views as `viewing` does, takes the quality test
+        with one `rng.random()` draw and, on failure, re-picks as `select`
+        does, with the same draws and index writes; it then moves to a
+        uniformly picked child.
 
-        It binds the RNG's methods, the store's columns and the index's
-        lists and methods once.  Each of those is only ever changed in
-        place, so the walk keeps reading their live state.  It holds the
-        RNG, the store's columns, the index's lists and methods and the
-        preferences list, but not this population.
+        With `literal` the path leaves out the root, and the degree sum
+        counts every version as first viewed, the root's included: a
+        re-pick that changes a node's version, always from one directory
+        version to another, adds the out-degree left and subtracts the one
+        taken.  The draws are the same.
 
-        Its integer draws inline the body of `Random._randbelow`: for an int
-        n >= 1, `getrandbits(n.bit_length())` until the value is below n is
-        the draw `randrange(n)` makes.
+        The RNG's methods, the store's columns and the index's lists and
+        methods are bound once.  Each is only changed in place, so the walk
+        reads their live state; it holds them and the preferences list,
+        but not this population.  Its integer draws inline the body of
+        `Random._randbelow`: for an int n >= 1, `getrandbits(n.bit_length())`
+        until the value is below n is the draw `randrange(n)` makes.
         """
         random_draw = rng.random
         getrandbits = rng.getrandbits
@@ -302,7 +293,7 @@ class PeerPopulation:
             prefs = prefs_of[peer]
             path = []
             append = path.append
-            degree = viewed_degree = 0
+            degree = 0
             node = 1
             while True:
                 j = prefs.get(node)
@@ -314,8 +305,6 @@ class PeerPopulation:
                     prefs[node] = j
                     increment(node, j)
                 g = first[node] if j == 1 else later[node][j - 2]
-                if literal and children_of[g]:
-                    viewed_degree += len(children_of[g])
                 if random_draw() >= quality[g]:  # the quality test also applies to files
                     # the peer's own view keeps the node's counts non-empty, so
                     # select's uniform fallback cannot arise here
@@ -334,7 +323,10 @@ class PeerPopulation:
                             prefs[node] = k
                             increment(node, k)
                             decrement(node, j)
-                            g = first[node] if k == 1 else later[node][k - 2]
+                            h = first[node] if k == 1 else later[node][k - 2]
+                            if literal:  # count the version first viewed
+                                degree += len(children_of[g]) - len(children_of[h])
+                            g = h
                 children = children_of[g]
                 if children is None:  # a file
                     break
@@ -351,7 +343,9 @@ class PeerPopulation:
                     node = children[0]
                 else:
                     break
-            return path, viewed_degree if literal else degree
+            if literal:
+                del path[0]
+            return path, degree
 
         return walk
 

@@ -104,16 +104,16 @@ def reference_traverse(sim: Simulation, peer: int) -> TraversalRecord:
     if literal:
         del path[0]
         if not path:
-            return TraversalRecord(peer, [], 0.0, None)
+            return TraversalRecord(peer, [], None)
         degree = viewed_degree
-    mean_degree = degree / len(path)
     p = rng.random()
-    target = path[choose_update_index(mean_degree, len(path), p) if degree else 0]
     updated = None
     if rng.random() < cfg.p_update:
+        # a literal walk can sum degree 0 over 2+ entries: index 0, the d -> 0+ limit
+        target = path[choose_update_index(degree / len(path), len(path), p) if degree else 0]
         sim.apply_update(target.node, target.version, peer)
         updated = target.node
-    return TraversalRecord(peer, [v.node for v in path], mean_degree, updated)
+    return TraversalRecord(peer, [v.node for v in path], updated)
 
 
 def records(store, preferences, nodes) -> list[NodeVersion]:

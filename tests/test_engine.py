@@ -1,5 +1,6 @@
 """Engine: update-position staircase, traversal walk, updates, runs."""
 
+import copy
 import gc
 import math
 import os
@@ -29,6 +30,7 @@ from poptree.engine import (
 )
 from poptree.metrics import MajorityTracker, Snapshot
 from poptree.peers import PopularityIndex
+import support
 from support import (
     ScriptedRandom,
     assert_sparse_rule,
@@ -47,6 +49,28 @@ def path_of(sim, record):
     assert record.updated is None
     prefs = sim.peers.preferences_of(record.peer)
     return [(v.node, v.version) for v in records(sim.store, prefs, record.path)]
+
+
+def spy_walk(sim):
+    """The (path, degree sum) of every walk `sim`'s bound walk returns to
+    `traverse`, in order, until `sim.rng` is next assigned."""
+    walk = sim._walk
+    walked = []
+    sim._walk = lambda peer: walked.append(walk(peer)) or walked[-1]
+    return walked
+
+
+@contextmanager
+def staircase_inputs(module):
+    """The (mean_degree, k, p) of every call `module` makes to
+    `choose_update_index` inside the block."""
+    calls = []
+    original = module.choose_update_index
+    module.choose_update_index = lambda *args: calls.append(args) or original(*args)
+    try:
+        yield calls
+    finally:
+        module.choose_update_index = original
 
 # --- choose_update_index ----------------------------------------------------
 
@@ -130,11 +154,26 @@ def test_huge_paths_do_not_overflow():
 
 @pytest.mark.parametrize(
     "d,k,p",
-    [(2.0, 0, 0.5), (2.0, 3, 1.0), (2.0, 3, -0.01), (-1.0, 3, 0.5), (0.0, 2, 0.5)],
+    [
+        (2.0, 0, 0.5),
+        (2.0, 3, 1.0),
+        (2.0, 3, -0.01),
+        (-1.0, 3, 0.5),
+        (0.0, 2, 0.5),
+        (math.nan, 3, 0.5),
+        (math.inf, 3, 0.5),
+    ],
 )
 def test_staircase_rejects_bad_parameters(d, k, p):
     with pytest.raises(ValueError):
         choose_update_index(d, k, p)
+
+
+@pytest.mark.parametrize("d", [math.nan, math.inf])
+@pytest.mark.parametrize("k", [1, 3])
+def test_staircase_names_a_non_finite_mean_degree(d, k):
+    with pytest.raises(ValueError, match=f"mean_degree must be finite and >= 0, got {d}"):
+        choose_update_index(d, k, 0.5)
 
 
 # --- configuration & seeding -------------------------------------------------
@@ -238,9 +277,10 @@ def test_traverse_hand_trace_on_initial_tree():
     # quality test (keep), child pick -> node 3, its quality test (keep),
     # update-position draw, update-decision draw (no update).
     sim.rng = ScriptedRandom(randoms=[0.3, 0.4, 0.0, 0.9], randranges=[1])
+    walked = spy_walk(sim)
     record = sim.traverse(0)
     assert path_of(sim, record) == [(1, 1), (3, 1)]
-    assert record.mean_degree == 1.5
+    assert walked == [([1, 3], 3)]  # mean degree 1.5
     assert record.updated is None
     assert sim.rng.exhausted()
     assert sim.store.total_versions == 4  # nothing changed
@@ -251,9 +291,10 @@ def test_traverse_childless_root_path_of_one():
     sim.store.add_version(1, 0.9, (), created_at=0)
     sim.peers.set_preference(5, 1, 2)
     sim.rng = ScriptedRandom(randoms=[0.3, 0.5, 0.9])  # keep, position, no update
+    walked = spy_walk(sim)
     record = sim.traverse(5)
     assert path_of(sim, record) == [(1, 2)]
-    assert record.mean_degree == 0.0
+    assert walked == [([1], 0)]
     assert sim.rng.exhausted()
 
 
@@ -313,6 +354,7 @@ def test_traverse_record_invariants_over_a_run(monkeypatch):
         return original(node, version, peer)
 
     monkeypatch.setattr(sim, "apply_update", apply_update)
+    walked = spy_walk(sim)
     for _ in range(600):
         record = sim.step()
         occupied = dict(sim.peers.preferences_of(record.peer))
@@ -324,7 +366,7 @@ def test_traverse_record_invariants_over_a_run(monkeypatch):
         assert path, "default walk always includes the root"
         assert all(v.is_dir for v in path)
         degree_sum = sum(len(v.children) for v in path)
-        assert record.mean_degree == degree_sum / len(path)
+        assert walked.pop() == (record.path, degree_sum)
         assert path[0].node == 1
 
 
@@ -334,9 +376,10 @@ def test_traverse_record_invariants_over_a_run(monkeypatch):
 def test_literal_trace_excludes_root_from_path():
     sim = Simulation(SimConfig(literal_traversal=True))
     sim.rng = ScriptedRandom(randoms=[0.3, 0.4, 0.0, 0.9], randranges=[1])
+    walked = spy_walk(sim)
     record = sim.traverse(0)
     assert path_of(sim, record) == [(3, 1)]
-    assert record.mean_degree == 3.0  # the root's degree still counts
+    assert walked == [([3], 3)]  # the root's degree still counts
     assert sim.rng.exhausted()
 
 
@@ -345,18 +388,23 @@ def test_literal_empty_path_skips_the_update():
     sim.store.add_version(1, 0.9, (), created_at=0)
     sim.peers.set_preference(5, 1, 2)
     sim.rng = ScriptedRandom(randoms=[0.3])  # only the root quality test
+    walked = spy_walk(sim)
     record = sim.traverse(5)
-    assert record.path == []
-    assert record.mean_degree == 0.0
-    assert record.updated is None
+    assert walked == [([], 0)]
+    assert record == (5, [], None)
     assert sim.rng.exhausted()
 
 
 @pytest.mark.parametrize("traverse", [Simulation.traverse, reference_traverse])
-def test_literal_walk_with_childless_first_views_updates_its_first_entry(traverse):
+def test_literal_walk_with_childless_first_views_updates_its_first_entry(monkeypatch, traverse):
     # every version peer 1 first views is childless, but its re-picks land on
     # root v1 and node 2 v2, so two entries stay after the root is dropped,
-    # with a degree sum of 0
+    # with a degree sum of 0: the staircase is never consulted
+    def no_staircase(*args):
+        raise AssertionError(f"choose_update_index{args} on a degree sum of 0")
+
+    monkeypatch.setattr(engine, "choose_update_index", no_staircase)
+    monkeypatch.setattr(support, "choose_update_index", no_staircase)
     sim = Simulation(SimConfig(n_peers=3, p_update=1.0, p_add=1.0, literal_traversal=True))
     store, peers = sim.store, sim.peers
     store.add_version(1, 0.5, (), created_at=0)  # root v2, childless
@@ -374,12 +422,30 @@ def test_literal_walk_with_childless_first_views_updates_its_first_entry(travers
     )
     record = traverse(sim, 1)
     assert record.path == [2, 5]
-    assert record.mean_degree == 0.0
     assert record.updated == 2  # index 0, the d -> 0+ limit of the staircase
     # the update copied the links of v2, the version occupied at node 2
     assert store.version(2, 3).children == (5, 6)
     assert peers.preference(1, 2) == 3
     assert sim.rng.exhausted()
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
+def test_walker_sums_the_degrees_its_variant_counts(literal):
+    # peer 1 first views root v2 (one link), fails its quality test and
+    # re-picks root v1 (three links), moves to node 3 and keeps it.  The
+    # default walk sums the versions occupied, 3 + 0; the literal one drops
+    # the root from its path and sums the versions first viewed, 1 + 0.
+    sim = Simulation(SimConfig(n_peers=3))
+    sim.store.add_version(1, 0.5, (2,), created_at=0)
+    sim.peers.set_preference(1, 1, 2)
+    # getrandbits(2) draws: the re-pick (0 of the root's 2 viewers: peer
+    # 0's v1), then the child (1 of 3: node 3)
+    rng = ScriptedRandom(randoms=[0.9, 0.0], randranges=[0, 1])
+    walk = sim.peers.walker(rng, literal)
+    assert walk(1) == (([3], 1) if literal else ([1, 3], 3))
+    assert rng.exhausted()
+    assert sim.peers.preferences_of(1) == {1: 1, 3: 1}
+    assert sim.index.counts_for(1) == {1: 2}
 
 
 def test_literal_variant_changes_the_trajectory():
@@ -468,6 +534,23 @@ def test_update_of_an_unknown_version_changes_nothing(node, version):
         sim.apply_update(node, version, peer=1)
     assert (sim.store.node_count, sim.store.total_versions) == (4, 4)  # no update
     assert sim.peers.preferences_of(1) == {}
+
+
+@pytest.mark.parametrize("peer", [3, -1, 10**9])
+@pytest.mark.parametrize("call", ["traverse", "apply_update"])
+def test_a_peer_outside_the_population_changes_nothing(call, peer):
+    # a negative peer would act as peer 2, and peer 3 used to fail only
+    # after the update had written its version and child
+    sim = Simulation(SimConfig(n_peers=3, seed=6))
+    for _ in range(50):
+        sim.step()
+    before = copy.deepcopy(walk_state(sim))
+    with pytest.raises(IndexError, match=rf"^peer {peer} not in range\(n_peers=3\)$"):
+        if call == "traverse":
+            sim.traverse(peer)
+        else:
+            sim.apply_update(1, 1, peer)
+    assert walk_state(sim) == before
 
 
 def test_update_single_link_delete_empties_the_version():
@@ -920,7 +1003,7 @@ def walk_state(sim):
     steps=st.integers(1, 200),
 )
 def test_fused_walk_matches_the_reference_walk(n_peers, p_leave, p_update, literal, seed, steps):
-    # PeerPopulation.walk against the walk built on viewing/select
+    # PeerPopulation.walker's walk against the walk built on viewing/select
     config = SimConfig(
         n_peers=n_peers, p_leave=p_leave, p_update=p_update, literal_traversal=literal, seed=seed
     )
@@ -960,15 +1043,15 @@ def test_benchmark_sized_runs_match_the_reference_step(config):
 
 def assert_steps_match_the_reference(config, steps):
     """Step twin simulations through `Simulation.step` and `reference_step`
-    and compare what each step returned and wrote."""
+    and compare what each step returned and wrote, and what each passed to
+    `choose_update_index`: the degree sum counts wherever it is used."""
     fused, reference = Simulation(config), Simulation(config)
-    for _ in range(steps):
-        record, expected = fused.step(), reference_step(reference)
-        assert record.peer == expected.peer
-        assert record.path == expected.path
-        assert record.mean_degree == expected.mean_degree
-        assert record.updated == expected.updated
-        assert walk_state(fused) == walk_state(reference)
+    with staircase_inputs(engine) as used, staircase_inputs(support) as expected_used:
+        for _ in range(steps):
+            record, expected = fused.step(), reference_step(reference)
+            assert record == expected
+            assert used == expected_used
+            assert walk_state(fused) == walk_state(reference)
 
 
 # --- parallel realizations ----------------------------------------------------

@@ -11,6 +11,7 @@ from poptree.namespace import (
     ValueRecord,
     digest,
     node_name,
+    view,
 )
 
 
@@ -169,6 +170,21 @@ def test_resolve_with_limit_counts_within_sample():
         ns.put(peer, key, record(f"v{peer % 2}"))
     resolved = ns.resolve("limited", limit=3)
     assert sum(count for _, count in resolved) == 3
+
+
+def test_a_limited_read_without_an_rng_is_refused():
+    # without an rng a sample would come from an unseeded source, so two
+    # reads of the same preferences could differ
+    namespace = view([{1: 1}, {1: 2}, {1: 1}, {1: 3}])
+    key = namespace.key_for("node-1")
+    with pytest.raises(ValueError, match="rng"):
+        namespace.resolve("node-1", limit=3)
+    with pytest.raises(ValueError, match="rng"):
+        namespace.get(key, limit=2)
+    # a read that keeps every stored value samples nothing
+    assert namespace.resolve("node-1", limit=4) == namespace.resolve("node-1")
+    assert namespace.get(key, limit=4) == namespace.get(key)
+    assert len(namespace.get(key)) == 3
 
 
 def test_key_collision_aborts(monkeypatch):
