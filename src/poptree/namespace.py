@@ -84,16 +84,22 @@ class Namespace:
         A limit models a download time cutoff: at most `limit` of the
         stored values are returned, sampled uniformly without replacement.
         """
-        stored = self._entries.get(key)
-        if not stored:
-            return set()
+        stored = self._entries.get(key, {})
         return set(self._sample(list(stored.values()), limit))
 
     def _sample(self, values: list, limit: int | None) -> list:
         """`values`, or `limit` of them sampled uniformly without replacement
-        with the namespace's rng, which a limit below their count needs."""
+        with the namespace's rng, which a limit between 0 and their count
+        needs.  A limit that is not None or an int >= 0 is refused before
+        any draw."""
+        if limit is not None and (
+            not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
+        ):
+            raise ValueError(f"limit must be None or an int >= 0, got {limit!r}")
         if limit is None or limit >= len(values):
             return values
+        if limit == 0:
+            return []
         if self._rng is None:
             raise ValueError(f"a limit of {limit} below {len(values)} values needs an rng to sample")
         return self._rng.sample(values, limit)

@@ -302,11 +302,118 @@ class DenseIndex:
         return crossed
 
 
-def assert_sparse_rule(index, node):
-    """A viewed node without a counts dict has a known leader, a bound of
-    0, and `counts_for(node) == {leader: total}`."""
-    total = index._totals[node] if node < len(index._totals) else 0
-    if total and node not in index._counts:
-        leader = index._leader[node]
-        assert leader and index._bound[node] == 0
-        assert index.counts_for(node) == {leader: total}
+# --- invariants ------------------------------------------------------------------
+#
+# What every state of a run keeps: the directory network stays a tree, no
+# published version changes, and the popularity index counts exactly the
+# peers registered to each version.  `Invariants(sim).check()` checks all
+# of it; a state without a Simulation checks the part that applies, the
+# store's columns with `check_columns` and an index with `check_index`.
+
+
+def check_columns(store, start=0):
+    """The store's columns agree in length, and every quality from version
+    id `start` on is in [0, 1)."""
+    n = store.total_versions
+    assert len(store._quality) == len(store._created) == len(store._children) == n
+    assert store.node_count + sum(len(ids) for ids in store._later.values()) == n
+    assert all(0.0 <= q < 1.0 for q in store._quality[start:]), "quality outside [0, 1)"
+
+
+def check_index(index, nodes, peers=None):
+    """The popularity index is consistent over `nodes`, which must hold every
+    node it has counted.
+
+    Each node's total is the sum of its counts, and no count is 0.  A viewed
+    node without a counts dict has a known leader, a bound of 0 and
+    `counts_for(node) == {leader: total}` (the sparse rule); a node with no
+    viewers has no dict, no leader and a bound of 0.  No count but the
+    leader's is above the bound, and a leader's is.  Every version at or
+    above the majority count has been queued, and the queue lists each
+    version once.  With `peers`, the counts equal `recount_preferences` node
+    by node and no node has more than `n_peers` viewers.
+    """
+    dicts, majority, crossed = index._counts, index._majority_count, index._crossed
+    size = len(index._totals)
+    totals, leaders, bounds = (
+        [column[node] if node < size else 0 for node in nodes]
+        for column in (index._totals, index._leader, index._bound)
+    )
+    counted = {}
+    for node, total, leader, bound in zip(nodes, totals, leaders, bounds):
+        if not total:
+            assert not (leader or bound or node in dicts or index.counts_for(node)), node
+            continue
+        counts = index.counts_for(node)
+        if node not in dicts:  # the sparse rule
+            assert leader and bound == 0 and counts == {leader: total}, node
+            if majority is not None and total >= majority:
+                assert (node, leader) in crossed, node
+        else:
+            assert sum(counts.values()) == total and 0 not in counts.values(), node
+            others = [c for version, c in counts.items() if version != leader]
+            assert all(c <= bound for c in others), node
+            if leader:
+                assert counts[leader] > bound and all(counts[leader] > c for c in others), node
+            if majority is not None:
+                assert all((node, v) in crossed for v, c in counts.items() if c >= majority), node
+        counted[node] = counts
+    assert index.viewed_node_count == len(counted)
+    assert dicts.keys() <= counted.keys()
+    crossings = index._crossings
+    assert len(set(crossings)) == len(crossings) and crossed.issuperset(crossings)
+    if peers is not None:
+        assert counted == recount_preferences(peers)
+        assert max(totals, default=0) <= peers.n_peers
+
+
+class Invariants:
+    """The invariants of `sim`'s state, checked at each `check()` call.
+
+    On top of `check_columns` and `check_index` over every node, each call
+    checks that every column still starts with what it held at the previous
+    call, so no published version and no node's version numbering changed.
+    The links of the versions created since then are folded into a
+    node -> parent map: every node but the root has exactly one parent node
+    over all versions' links, the root has none, and no version links a
+    node twice or to a node that does not exist.  Only directories have
+    later versions, and the versions created since the previous call take
+    the ids that follow its last one.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._held = {}  # each column's contents at the previous call
+        self._parent = {}  # node -> the node whose versions link to it
+
+    def check(self):
+        store, held, parent = self.sim.store, self._held, self._parent
+        checked = len(held.get("quality", ()))  # versions checked before
+        check_columns(store, checked)
+        columns = {
+            "quality": store._quality,
+            "created": store._created,
+            "children": store._children,
+            "first": store._first,
+            **{("later", node): ids for node, ids in store._later.items()},
+        }
+        for name, old in held.items():
+            assert columns[name][: len(old)] == old, f"column {name} changed"
+        children, first = store._children, store._first
+        fresh = [(node, first[node]) for node in range(len(held.get("first", (0,))), len(first))]
+        for node, ids in store._later.items():
+            for g in ids[len(held.get(("later", node), ())) :]:
+                assert children[g] is not None, f"file node {node} has a later version"
+                fresh.append((node, g))
+        assert sorted(g for _, g in fresh) == list(range(checked, store.total_versions))
+        node_count = store.node_count
+        for node, g in fresh:
+            links = children[g] or ()
+            assert len(set(links)) == len(links), f"node {node} links a node twice"
+            for child in links:
+                assert 2 <= child <= node_count, f"node {node} links {child}"
+                assert parent.setdefault(child, node) == node, f"node {child} has two parents"
+        assert len(parent) == node_count - 1, "a node other than the root has no parent"
+        held.clear()
+        held.update((name, column[:]) for name, column in columns.items())
+        check_index(self.sim.index, range(1, node_count + 1), self.sim.peers)

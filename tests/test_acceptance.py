@@ -16,7 +16,7 @@ from poptree.directory import sample_quality
 from poptree.engine import SimConfig, Simulation, choose_update_index, run
 from poptree.experiment import ExperimentSpec, run_experiment
 from poptree.namespace import Namespace, ValueRecord, digest
-from support import records, recount_preferences
+from support import Invariants, records
 
 CONTROL = SimConfig()  # N=100, s=1, p_update=.5, p_add=.75, p_file=.5, p_leave=0
 S_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -175,51 +175,8 @@ def test_criterion_09_quality_above_mean_for_every_s(s_runs, report):
 
 def test_criterion_10_structural_invariants_over_a_control_run(report):
     sim = Simulation(replace(CONTROL, realizations=1))
-    parents: dict[int, set[int]] = {}
-    previous: dict = {}  # copies of the store's columns at the previous block
-
-    def check_block():
-        store, peers, index = sim.store, sim.peers, sim.index
-        # popularity index == counts recomputed from raw preferences
-        recomputed = recount_preferences(peers)
-        indexed = {node: dict(counts) for node, counts, in _iter_index(index)}
-        assert indexed == recomputed
-        for node, per_node in recomputed.items():
-            assert sum(per_node.values()) <= peers.n_peers
-        # immutability: every column still starts with what it held at the
-        # previous block, so no stored version, and no node's version
-        # numbering, changed
-        columns = {
-            "quality": store._quality,
-            "created": store._created,
-            "children": store._children,
-            "first": store._first,
-            **{("later", node): ids for node, ids in store._later.items()},
-        }
-        for name, old in previous.items():
-            assert columns[name][: len(old)] == old, f"column {name} changed"
-        # fold the links of versions created since the last block into the
-        # node-level link structure
-        known_nodes = len(previous.get("first", (0,)))
-        fresh = [(node, store._first[node]) for node in range(known_nodes, len(store._first))]
-        for node, ids in store._later.items():
-            fresh.extend((node, g) for g in ids[len(previous.get(("later", node), ())) :])
-        for node, g in fresh:
-            for child in store._children[g] or ():
-                parents.setdefault(child, set()).add(node)
-        previous.clear()
-        previous.update((name, column[:]) for name, column in columns.items())
-        # parent uniqueness over the full node-level link structure
-        for node in range(2, store.node_count + 1):
-            assert len(parents.get(node, ())) == 1, f"node {node} parents"
-        assert 1 not in parents
-
-    def _iter_index(index):
-        for node in range(1, sim.store.node_count + 1):
-            counts = index.counts_for(node)
-            if counts:
-                yield node, counts
-
+    invariants = Invariants(sim)
+    invariants.check()
     blocks = CONTROL.t_max // 1000
     for _ in range(blocks):
         for _ in range(1000):
@@ -228,7 +185,7 @@ def test_criterion_10_structural_invariants_over_a_control_run(report):
             # new version of the node it updated, a directory as well
             path = records(sim.store, sim.peers.preferences_of(record.peer), record.path)
             assert all(v.is_dir for v in path), "file version on an update path"
-        check_block()
+        invariants.check()
     report(
         "10 structural-invariants",
         f"{blocks} blocks x (index consistency, parent uniqueness, "

@@ -19,7 +19,7 @@ from poptree.directory import (
 )
 from poptree.engine import SimConfig, Simulation
 from poptree.peers import PeerPopulation, PopularityIndex
-from support import ObjectStore, ScriptedRandom
+from support import Invariants, ObjectStore, ScriptedRandom, check_columns
 
 S_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -190,7 +190,7 @@ def test_integer_columns_hold_4_byte_items():
     assert not hasattr(store, "_node")
     with pytest.raises(OverflowError):
         store.add_node(True, 0.5, created_at=2**31)
-    assert_columns_agree(store)
+    Invariants(sim).check()
 
 
 def test_decile_counts_equal_a_recount_after_a_churned_run():
@@ -247,15 +247,8 @@ def test_node_version_validation():
         store.add_version(1, 1.0, (), created_at=0)
     with pytest.raises(KeyError):
         store.add_version(2, 0.5, (), created_at=0)
-    assert_columns_agree(store)
+    check_columns(store)
     assert store.total_versions == 1 and store._later == {}
-
-
-def assert_columns_agree(store):
-    n = store.total_versions
-    assert len(store._quality) == len(store._created) == n
-    assert len(store._children) == n
-    assert store.node_count + sum(len(ids) for ids in store._later.values()) == n
 
 
 # each call is (kind, node pick, quality, children pick); the picks select
@@ -292,7 +285,7 @@ def test_columnar_store_matches_the_object_store(calls):
             assert store.versions_of(n) == reference.versions_of(n)
             for j in range(1, len(reference.versions_of(n)) + 1):
                 assert store.version(n, j) == reference.version(n, j)
-        assert_columns_agree(store)
+        check_columns(store)
 
 
 def call(method, args):

@@ -32,11 +32,10 @@ from poptree.metrics import MajorityTracker, Snapshot
 from poptree.peers import PopularityIndex
 import support
 from support import (
+    Invariants,
     ScriptedRandom,
-    assert_sparse_rule,
     namespace_of,
     records,
-    recount_preferences,
     reference_step,
     reference_traverse,
 )
@@ -824,28 +823,6 @@ def test_randbelow_draws_what_randrange_draws(seed):
 # --- engine property test -------------------------------------------------------
 
 
-def assert_index_matches_preferences(sim):
-    """The popularity index equals a recount of every peer's preferences,
-    and each node's leader and bound are consistent with the counts."""
-    index = sim.index
-    recounted = recount_preferences(sim.peers)
-    assert index.viewed_node_count == len(recounted)
-    for node in range(1, sim.store.node_count + 1):
-        counts = recounted.get(node, {})
-        assert dict(index.counts_for(node)) == counts
-        assert index._totals[node] == sum(counts.values())
-        assert_sparse_rule(index, node)
-        leader, bound = index._leader[node], index._bound[node]
-        if not counts:
-            assert (leader, bound) == (0, 0)
-            continue
-        others = [c for version, c in counts.items() if version != leader]
-        assert all(c <= bound for c in others)
-        if leader:
-            assert counts[leader] > bound
-            assert all(counts[leader] > c for c in others)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     n_peers=st.integers(1, 6),
@@ -865,10 +842,11 @@ def test_index_stays_consistent_over_engine_steps(n_peers, p_leave, p_update, li
             seed=seed,
         )
     )
-    assert_index_matches_preferences(sim)
+    invariants = Invariants(sim)
+    invariants.check()
     for _ in range(steps):
         sim.step()
-        assert_index_matches_preferences(sim)
+        invariants.check()
 
 
 def test_a_run_at_a_vanishing_quality_shape_completes():
@@ -906,19 +884,12 @@ def test_extreme_configs_run_and_keep_their_invariants(
             seed=seed,
         )
     )
+    invariants = Invariants(sim)
+    invariants.check()
     for _ in range(3):
         for _ in range(100):
             sim.step()
-        assert_index_matches_preferences(sim)
-    assert all(0.0 <= q < 1.0 for q in sim.store._quality)
-
-
-def version_fields(store):
-    """Every stored version's fields, node by node, oldest first."""
-    return [
-        [(v.node, v.version, v.quality, v.is_dir, v.children, v.created_at) for v in versions]
-        for versions in map(store.versions_of, range(1, store.node_count + 1))
-    ]
+        invariants.check()
 
 
 @settings(max_examples=100, deadline=None)
@@ -938,6 +909,8 @@ def test_update_sequences_outside_the_walk(n_peers, p_add, p_file, seed, updates
     # a drawn directory node as a drawn peer
     sim = Simulation(SimConfig(n_peers=n_peers, p_add=p_add, p_file=p_file, seed=seed))
     store, peers = sim.store, sim.peers
+    invariants = Invariants(sim)
+    invariants.check()  # published versions stay as this call sees them
     for node_pick, version_pick, peer in updates:
         directories = [
             node for node in range(1, store.node_count + 1) if store.version(node, 1).is_dir
@@ -945,14 +918,14 @@ def test_update_sequences_outside_the_walk(n_peers, p_add, p_file, seed, updates
         node = directories[node_pick % len(directories)]
         target = store.version(node, version_pick % store.version_count(node) + 1)
         peer %= n_peers
-        before = version_fields(store)
+        versions = store.version_count(node)
         node_count = store.node_count
 
         fresh = update(sim, node, target.version, peer)
 
-        assert_index_matches_preferences(sim)
+        invariants.check()
         assert (fresh.node, fresh.is_dir) == (node, True)
-        assert fresh.version == len(store.versions_of(node)) == len(before[node - 1]) + 1
+        assert fresh.version == len(store.versions_of(node)) == versions + 1
         links = target.children
         if store.node_count == node_count:  # one link dropped
             assert any(
@@ -965,9 +938,6 @@ def test_update_sequences_outside_the_walk(n_peers, p_add, p_file, seed, updates
             assert len(store.versions_of(child)) == 1
             assert peers.preference(peer, child) == 1
         assert peers.preference(peer, node) == fresh.version
-        # published versions are immutable
-        after = version_fields(store)
-        assert [fields[: len(old)] for fields, old in zip(after, before)] == before
 
 
 def walk_state(sim):
@@ -1044,7 +1014,8 @@ def test_benchmark_sized_runs_match_the_reference_step(config):
 def assert_steps_match_the_reference(config, steps):
     """Step twin simulations through `Simulation.step` and `reference_step`
     and compare what each step returned and wrote, and what each passed to
-    `choose_update_index`: the degree sum counts wherever it is used."""
+    `choose_update_index`: the degree sum counts wherever it is used.  When
+    the steps end, both states must keep the invariants."""
     fused, reference = Simulation(config), Simulation(config)
     with staircase_inputs(engine) as used, staircase_inputs(support) as expected_used:
         for _ in range(steps):
@@ -1052,6 +1023,8 @@ def assert_steps_match_the_reference(config, steps):
             assert record == expected
             assert used == expected_used
             assert walk_state(fused) == walk_state(reference)
+    Invariants(fused).check()
+    Invariants(reference).check()
 
 
 # --- parallel realizations ----------------------------------------------------

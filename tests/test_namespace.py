@@ -1,6 +1,7 @@
 """Namespace store semantics: multi-writer keys, sampling, resolution."""
 
 import random
+import re
 
 import pytest
 from scipy.stats import chisquare
@@ -185,6 +186,31 @@ def test_a_limited_read_without_an_rng_is_refused():
     assert namespace.resolve("node-1", limit=4) == namespace.resolve("node-1")
     assert namespace.get(key, limit=4) == namespace.get(key)
     assert len(namespace.get(key)) == 3
+
+
+@pytest.mark.parametrize("limit", [-1, -5, True, False, 1.5, "2"])
+@pytest.mark.parametrize("seed", [None, 3], ids=["no-rng", "rng"])
+@pytest.mark.parametrize("read", ["get", "resolve"])
+def test_a_limit_that_is_not_a_count_is_refused_before_any_draw(read, seed, limit):
+    rng = None if seed is None else random.Random(seed)
+    namespace = view([{1: 1}, {1: 2}, {1: 1}], rng)
+    key = namespace.key_for("node-1")
+    arg = key if read == "get" else "node-1"
+    message = f"limit must be None or an int >= 0, got {limit!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(namespace, read)(arg, limit=limit)
+    # also under a key with nothing stored
+    with pytest.raises(ValueError, match=re.escape(message)):
+        getattr(namespace, read)(digest("nothing") if read == "get" else "node-2", limit=limit)
+    if rng is not None:
+        assert rng.getstate() == random.Random(seed).getstate()
+
+
+@pytest.mark.parametrize("read", ["get", "resolve"])
+def test_a_zero_limit_reads_nothing_without_an_rng(read):
+    namespace = view([{1: 1}, {1: 2}, {1: 1}])
+    arg = namespace.key_for("node-1") if read == "get" else "node-1"
+    assert not getattr(namespace, read)(arg, limit=0)
 
 
 def test_key_collision_aborts(monkeypatch):

@@ -1,5 +1,6 @@
 """The package's public surface and the benchmark worker built on it."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import poptree
+from poptree.engine import SimConfig
 
-WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKER = ROOT / "perfbench" / "worker.py"
 
 
 def test_public_names_are_the_cli_and_experiment_api():
@@ -123,3 +126,35 @@ def test_a_one_realization_run_forks_nothing_and_imports_nothing_new():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_the_golden_check_finds_every_pinned_run(tmp_path, monkeypatch):
+    # tools/check_golden.py reads the configs and digests of test_golden.py
+    # by parsing it, and perfbench's from workloads.py; it must find all seven
+    # runs with the pinned configs and digests.  None of them is run here,
+    # and nothing is written under perfbench/.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("check_golden", ROOT / "tools" / "check_golden.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    import test_golden
+    import workloads
+
+    runs = {name: (spec, golden) for name, spec, golden in tool.golden_runs(tmp_path)}
+    assert sorted(runs) == [
+        "perfbench/churn_crowd",
+        "perfbench/control",
+        "perfbench/dense_observe",
+        "tests/churn",
+        "tests/control",
+        "tests/literal",
+        "tests/n_peers_10",
+    ]
+    for name, config in test_golden.CONFIGS.items():
+        assert runs[f"tests/{name}"][0].base == config
+        assert runs[f"tests/{name}"][1] == test_golden.GOLDEN[name]
+    for name in workloads.WORKLOADS:
+        pinned = workloads.experiment_file(name, workloads.DEFAULT_SEED)["config"]
+        assert runs[f"perfbench/{name}"][0].base == SimConfig(**pinned)
+        assert runs[f"perfbench/{name}"][1] == workloads.GOLDEN[name]

@@ -13,7 +13,7 @@ from poptree.peers import PeerPopulation, PopularityIndex
 from support import (
     DenseIndex,
     ScriptedRandom,
-    assert_sparse_rule,
+    check_index,
     namespace_of,
     pick_popular,
     recount_preferences,
@@ -210,27 +210,9 @@ def test_a_version_is_queued_only_at_its_first_crossing():
 # --- randomized operation sequences ----------------------------------------
 
 
-def stored_total(index, node):
-    """The viewer total the index stores for `node`: 0 until its node-indexed
-    lists have grown to cover the node."""
-    totals = index._totals
-    return totals[node] if node < len(totals) else 0
-
-
 def assert_consistent(pop, store):
+    check_index(pop.index, range(1, store.node_count + 1), pop)
     recomputed = recount_preferences(pop)
-    indexed = {
-        node: dict(pop.index.counts_for(node))
-        for node in range(1, store.node_count + 1)
-        if pop.index.counts_for(node)
-    }
-    assert indexed == recomputed
-    for node, per_node in recomputed.items():
-        assert sum(per_node.values()) <= pop.n_peers
-        assert stored_total(pop.index, node) == sum(per_node.values())
-    assert pop.index.viewed_node_count == len(recomputed)
-    for node in range(1, store.node_count + 1):
-        assert_sparse_rule(pop.index, node)
     # the namespace mirrors the preferences exactly
     namespace = namespace_of(pop)
     for node in range(1, store.node_count + 1):
@@ -502,7 +484,6 @@ operations = st.lists(
 
 
 def assert_default_pick_matches_reference(pop, seed):
-    recounted = recount_preferences(pop)
     for node in range(1, N_NODES + 1):
         n_versions = pop.store.version_count(node)
         fast_rng, reference_rng = random.Random(seed), random.Random(seed)
@@ -510,7 +491,7 @@ def assert_default_pick_matches_reference(pop, seed):
         reference = pick_popular(n_versions, pop.index.counts_for(node), reference_rng)
         assert fast == reference
         assert fast_rng.getstate() == reference_rng.getstate()
-        assert stored_total(pop.index, node) == sum(recounted.get(node, {}).values())
+    check_index(pop.index, range(1, N_NODES + 1), pop)
 
 
 @settings(max_examples=200, deadline=None)
@@ -619,7 +600,7 @@ def test_sparse_index_matches_the_dense_reference(ops):
             assert sparse_rng.getstate() == dense_rng.getstate()
         for node in SPARSE_NODES:
             assert list(sparse.counts_for(node).items()) == list(dense.counts_for(node).items())
-            assert_sparse_rule(sparse, node)
+        check_index(sparse, SPARSE_NODES)
         assert sparse._leader == dense._leader
         assert sparse._bound == dense._bound
         assert sparse._totals == dense._totals
