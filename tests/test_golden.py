@@ -5,11 +5,14 @@ function from one version of the code to the next.  A refactor or a speed-up
 must leave them unchanged; a digest that moves means the trajectory (or the
 output format) changed, which needs its own justification.  The realizations
 run in one process (jobs=1) and split over a forked worker and the caller
-(jobs=2); both must write the same bytes.
+(jobs=2); both must write the same bytes.  A two-point sweep pins the rest of
+what a run writes: config.json, the param=value directories, the sweep value
+in histograms.json and the DOT file.
 """
 
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +52,28 @@ GOLDEN = {
     },
 }
 
+# run from the directory that holds "sweep", so config.json's out_dir stays
+# relative and its bytes do not depend on where the check runs
+SWEEP = ExperimentSpec(
+    base=SimConfig(t_max=2_000, realizations=2),
+    sweep=("p_update", (0.1, 0.9)),
+    out_dir="sweep",
+    snapshot_interval=500,
+    emit_dot=True,
+)
+
+SWEEP_GOLDEN = {
+    "config.json": "7a8790f23e3826102f1f06eb7181d4a2dfddaf16747311c35670f2325c9dd922",
+    "p_update=0.1/histograms.json": "22bb894b18b727d36558a7591f483011ce42f3ce1fc68ca9aa44666bd9e74e40",
+    "p_update=0.1/main_tree_2000.dot": "6ed4b6c9d3e604e1c1cad7c48daf264f5274f5d93b5299f3cc033c311345ead6",
+    "p_update=0.1/majority.csv": "55a72cdcfdb51ce7ff3d6f93c73b47e95dc9018e097df1abd257dbd1b4b51277",
+    "p_update=0.1/series.csv": "c82d0c1d6cb2573371b8817e8a34f3bac14d34a5afe7147c40727e99a135c8c6",
+    "p_update=0.9/histograms.json": "7b642ce0aa1cf0a9e85ebcf57d33bfd06b18e52be846a96dc6fd4ed1f7d1ba66",
+    "p_update=0.9/main_tree_2000.dot": "6b207a0b2766502d5c2340a7cb6f4930165a050dd3d853b3896f19ac80e6b64b",
+    "p_update=0.9/majority.csv": "df59feaf53a628ce05fc669397a93a5c0700d82efc156b97f6091b557bd18c42",
+    "p_update=0.9/series.csv": "608de4f4eff449c4347c489c7a87601f33b0be903a1e4f450c2bb2f705a333f3",
+}
+
 
 def assert_golden(name, jobs, out_dir):
     run_experiment(ExperimentSpec(base=CONFIGS[name], out_dir=out_dir), jobs=jobs)
@@ -68,3 +93,20 @@ def test_outputs_match_golden_digests(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_digests_in_one_process(name, tmp_path):
     assert_golden(name, 1, tmp_path)
+
+
+def sweep_digests(out_dir):
+    """SHA-256 of every file under `out_dir`, by its path relative to it."""
+    return {
+        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path(out_dir).rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_outputs_match_golden_digests(jobs, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "available_cpus", lambda: 2)  # so jobs=2 forks on any host
+    monkeypatch.chdir(tmp_path)
+    run_experiment(SWEEP, jobs=jobs)
+    assert sweep_digests(SWEEP.out_dir) == SWEEP_GOLDEN

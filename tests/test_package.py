@@ -130,7 +130,7 @@ def test_a_one_realization_run_forks_nothing_and_imports_nothing_new():
 
 def test_the_golden_check_finds_every_pinned_run(tmp_path, monkeypatch):
     # tools/check_golden.py reads the configs and digests of test_golden.py
-    # by parsing it, and perfbench's from workloads.py; it must find all seven
+    # by parsing it, and perfbench's from workloads.py; it must find all eight
     # runs with the pinned configs and digests.  None of them is run here,
     # and nothing is written under perfbench/.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -150,7 +150,9 @@ def test_the_golden_check_finds_every_pinned_run(tmp_path, monkeypatch):
         "tests/control",
         "tests/literal",
         "tests/n_peers_10",
+        "tests/sweep",
     ]
+    assert runs["tests/sweep"] == (test_golden.SWEEP, test_golden.SWEEP_GOLDEN)
     for name, config in test_golden.CONFIGS.items():
         assert runs[f"tests/{name}"][0].base == config
         assert runs[f"tests/{name}"][1] == test_golden.GOLDEN[name]

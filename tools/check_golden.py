@@ -2,11 +2,14 @@
 
     python3 tools/check_golden.py [INTERPRETER...]
 
-Runs the four configs of tests/test_golden.py and the three workloads of
-perfbench/workloads.py at their pinned seeds, in one process (jobs=1), and
-compares the SHA-256 of series.csv, majority.csv and histograms.json with
-the digests pinned in those two files.  With INTERPRETERs it runs itself
-under each of them in turn; without, it checks the interpreter running it.
+Runs the four configs and the sweep of tests/test_golden.py and the three
+workloads of perfbench/workloads.py at their pinned seeds, in one process
+(jobs=1), and compares the SHA-256 of series.csv, majority.csv and
+histograms.json (for the sweep, of every file it writes) with the digests
+pinned in those two files.  The runs write under a temporary directory,
+which is also the working directory, since the sweep's out_dir is relative.
+With INTERPRETERs it runs itself under each of them in turn; without, it
+checks the interpreter running it.
 
 It needs only the standard library, so it runs under interpreters that have
 no pytest: it takes the configs and digests from tests/test_golden.py
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import os
 import subprocess
 import sys
 import tempfile
@@ -38,7 +42,9 @@ def golden_test_constants() -> dict:
 
 
 def golden_runs(out: Path):
-    """(name, spec writing under `out`, pinned digests) for every golden run."""
+    """(name, spec, pinned digests) for every golden run.  Every spec writes
+    under `out` but the sweep's, whose out_dir is relative to the working
+    directory."""
     from poptree.experiment import ExperimentSpec, spec_from_dict
     from workloads import DEFAULT_SEED, GOLDEN, WORKLOADS, experiment_file
 
@@ -46,6 +52,7 @@ def golden_runs(out: Path):
     for name, config in tests["CONFIGS"].items():
         spec = ExperimentSpec(base=config, out_dir=out / "tests" / name)
         yield f"tests/{name}", spec, tests["GOLDEN"][name]
+    yield "tests/sweep", tests["SWEEP"], tests["SWEEP_GOLDEN"]
     for name in WORKLOADS:
         data = {**experiment_file(name, DEFAULT_SEED), "out_dir": str(out / "perfbench" / name)}
         yield f"perfbench/{name}", spec_from_dict(data), GOLDEN[name]
@@ -58,6 +65,7 @@ def check_here() -> int:
     version = ".".join(map(str, sys.version_info[:3]))
     failed = 0
     with tempfile.TemporaryDirectory() as out:
+        os.chdir(out)  # the sweep's relative out_dir lands here
         for name, spec, golden in golden_runs(Path(out)):
             run_experiment(spec, jobs=1)
             differ = [
@@ -68,6 +76,7 @@ def check_here() -> int:
             failed += bool(differ)
             result = "differs: " + ", ".join(differ) if differ else "ok"
             print(f"{version} {name}: {result}", flush=True)
+        os.chdir(ROOT)  # leave the temporary directory before it is removed
     return 1 if failed else 0
 
 
