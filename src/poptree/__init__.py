@@ -12,15 +12,14 @@ the building blocks live in their submodules (`poptree.directory`,
 `poptree.peers`, `poptree.metrics`, ...).
 """
 
-from .engine import RunResult, SimConfig, Simulation, run, run_single
-from .experiment import ExperimentSpec, ResultBundle, run_experiment
+from .engine import ResultBundle, SimConfig, Simulation, run, run_single
+from .experiment import ExperimentSpec, run_experiment
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ExperimentSpec",
     "ResultBundle",
-    "RunResult",
     "SimConfig",
     "Simulation",
     "run",

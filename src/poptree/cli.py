@@ -112,7 +112,7 @@ def _parse(argv: list[str] | None) -> tuple[ExperimentSpec, int | None]:
         spec = ExperimentSpec(
             base=replace(spec.base, **overrides),
             sweep=sweep,
-            out_dir=args.out or spec.out_dir,
+            out_dir=spec.out_dir if args.out is None else args.out,
             snapshot_interval=args.snapshot_interval
             if args.snapshot_interval is not None
             else spec.snapshot_interval,

@@ -334,12 +334,15 @@ def run_single(
     )
 
 
-class RunResult(NamedTuple):
-    """All realizations of one configuration plus the averaged series."""
+class ResultBundle(NamedTuple):
+    """All realizations of one configuration: the sweep value it was run
+    for (None outside a sweep), the resolved config, every realization's
+    metrics, and the averaged snapshot series."""
 
+    sweep_value: float | int | None
     config: SimConfig
     series: list[_metrics.MetricsSeries]
-    average: list[_metrics.AverageSnapshot]
+    average: list[_metrics.Snapshot]
 
 
 def check_jobs(jobs: int | None) -> None:
@@ -371,9 +374,10 @@ def available_cpus() -> int:
 
 def run(
     config: SimConfig, snapshot_interval: int = 1000, jobs: int | None = None
-) -> RunResult:
+) -> ResultBundle:
     """Run every realization of `config` (sub-seeded deterministically from
-    config.seed) and average the snapshot series pointwise.
+    config.seed) and average the snapshot series pointwise, in a bundle
+    whose sweep_value is None.
 
     The realizations are split into `jobs` contiguous blocks (by default one
     per available CPU; never more blocks than CPUs or realizations).  Every
@@ -391,7 +395,7 @@ def run(
         config, snapshot_interval, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     )
     average = _metrics.average_snapshots([s.snapshots for s in series])
-    return RunResult(config, series, average)
+    return ResultBundle(None, config, series, average)
 
 
 def _run_forked(

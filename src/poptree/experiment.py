@@ -5,10 +5,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple
 
-from .engine import _INT_FIELDS, SimConfig, check_jobs, check_snapshot_interval, run
-from .metrics import AverageSnapshot, MetricsSeries
+from .engine import _INT_FIELDS, ResultBundle, SimConfig, check_jobs, check_snapshot_interval, run
 
 SWEEPABLE_PARAMS = ("n_peers", "s", "p_update", "p_add", "p_file", "p_leave", "t_max")
 PARAM_ALIASES = {"peers": "n_peers", "n": "n_peers", "steps": "t_max"}
@@ -43,7 +41,7 @@ def parse_param_value(param: str, raw: str | float | int):
 class ExperimentSpec:
     """A base configuration, an optional sweep over one of its fields, and
     where (if anywhere) to write the outputs.  `out_dir` may be given as a
-    string or any path-like object and is kept as a `Path`."""
+    non-empty string or any path-like object and is kept as a `Path`."""
 
     base: SimConfig = SimConfig()
     sweep: tuple[str, tuple[float | int, ...]] | None = None
@@ -54,6 +52,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.base, SimConfig):
             raise ValueError(f"base must be a SimConfig, got {self.base!r}")
+        if self.out_dir == "":  # Path("") would be the working directory
+            raise ValueError("out_dir must not be empty")
         if self.out_dir is not None:
             try:  # a str or a path-like object
                 object.__setattr__(self, "out_dir", Path(self.out_dir))
@@ -87,16 +87,6 @@ class ExperimentSpec:
             return [(None, self.base)]
         param, values = self.sweep
         return [(value, replace(self.base, **{param: value})) for value in values]
-
-
-class ResultBundle(NamedTuple):
-    """One sweep point's runs: the resolved config, every realization's
-    metrics, and the averaged snapshot series."""
-
-    sweep_value: float | int | None
-    config: SimConfig
-    series: list[MetricsSeries]
-    average: list[AverageSnapshot]
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -159,9 +149,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[Result
     and optionally the final main tree as DOT).
 
     config.json is written before the first point runs, and each point's
-    files as soon as that point is done, so a failure at one point keeps
-    the points before it.  `jobs` is passed on to `run`: how many
-    processes run a point's realizations.  It never changes an output.
+    files (config.json again with them) as soon as that point is done, so
+    a failure at one point keeps the points before it.  `jobs` is passed
+    on to `run`: how many processes run a point's realizations.  It never
+    changes an output.
     """
     from . import export  # deferred: export imports this module's types
 
@@ -170,9 +161,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[Result
         export.write_outputs(spec, [])
     bundles = []
     for value, config in spec.configs():
-        result = run(config, spec.snapshot_interval, jobs)
-        bundle = ResultBundle(value, config, result.series, result.average)
+        bundle = run(config, spec.snapshot_interval, jobs)._replace(sweep_value=value)
         bundles.append(bundle)
         if spec.out_dir is not None:
-            export.write_outputs(spec, [bundle], config=False)
+            export.write_outputs(spec, [bundle])
     return bundles

@@ -7,13 +7,15 @@ bytes, so reruns of the same spec can be diffed directly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import asdict
 from pathlib import Path
 
 from .directory import MainTree
-from .experiment import ExperimentSpec, ResultBundle, spec_to_dict
+from .engine import ResultBundle
+from .experiment import ExperimentSpec, spec_to_dict
 from .metrics import MajorityEvent, Snapshot
 
 # a row is the realization followed by every field of its record, in order
@@ -43,33 +45,14 @@ def export_dot(tree: MainTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_series_csv(path: Path, bundle: ResultBundle) -> None:
-    """One row per snapshot per realization, then the averaged series with
-    realization marked "mean"."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SERIES_FIELDS)
-        for realization, series in enumerate(bundle.series):
-            for snap in series.snapshots:
-                writer.writerow((realization, *snap))
-        for snap in bundle.average:
-            writer.writerow(("mean", *snap))
-
-
-def write_majority_csv(path: Path, bundle: ResultBundle) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(MAJORITY_FIELDS)
-        for realization, series in enumerate(bundle.series):
-            for event in series.majority_events:
-                writer.writerow((realization, *event))
-
-
 def histograms_payload(bundle: ResultBundle) -> dict:
     """End-of-run histograms for every realization, with enough metadata
     (resolved config, counting conventions) to reproduce the run."""
+    config = asdict(bundle.config)
+    if bundle.sweep_value is not None:
+        config["_sweep_value"] = bundle.sweep_value
     return {
-        "config": _config_dict(bundle),
+        "config": config,
         "conventions": {
             "degree_histogram": (
                 "one representative version per node: the most viewed, ties "
@@ -94,19 +77,6 @@ def histograms_payload(bundle: ResultBundle) -> dict:
     }
 
 
-def write_histograms_json(path: Path, bundle: ResultBundle) -> None:
-    with open(path, "w") as handle:
-        json.dump(histograms_payload(bundle), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _config_dict(bundle: ResultBundle) -> dict:
-    resolved = asdict(bundle.config)
-    if bundle.sweep_value is not None:
-        resolved["_sweep_value"] = bundle.sweep_value
-    return resolved
-
-
 def bundle_dir(spec: ExperimentSpec, bundle: ResultBundle) -> Path:
     """Where one sweep point's files live: the out dir itself, or a
     param=value subdirectory when sweeping."""
@@ -118,42 +88,56 @@ def bundle_dir(spec: ExperimentSpec, bundle: ResultBundle) -> Path:
     return spec.out_dir / f"{param}={bundle.sweep_value}"
 
 
-def _write_whole(path: Path, write, *args) -> None:
-    """Call write(temp, *args) on a temp file next to `path`, then move it
-    onto `path`: a reader, or a run that fails half-way, never sees a
-    half-written file."""
+def _csv(header: tuple[str, ...], rows) -> str:
+    """A CSV file's text: the header row, then `rows`, each ended by "\\n"."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def _json(payload) -> str:
+    """A JSON file's text: `payload` indented, keys sorted, then "\\n"."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_whole(path: Path, text: str) -> None:
+    """Write `text` to a temp file next to `path`, then move it onto `path`:
+    a reader, or a run that fails half-way, never sees a half-written file.
+    Newlines are written as they are, so the bytes are the same on every
+    platform."""
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        write(temp, *args)
+        temp.write_text(text, newline="")
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
 
 
-def _write_config_json(path: Path, spec: ExperimentSpec) -> None:
-    with open(path, "w") as handle:
-        json.dump(spec_to_dict(spec), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def write_outputs(spec: ExperimentSpec, bundles: list[ResultBundle], config: bool = True) -> None:
-    """Write the resolved spec as config.json (unless `config` is false),
-    then every given sweep point's files.  Each file is written whole to a
-    temp file and renamed into place."""
+def write_outputs(spec: ExperimentSpec, bundles: list[ResultBundle]) -> None:
+    """Write the resolved spec as config.json, then every given sweep
+    point's files: series.csv has one row per snapshot per realization,
+    then the averaged series with realization "mean"; majority.csv one row
+    per majority event.  Each file is written whole to a temp file and
+    renamed into place."""
     if spec.out_dir is None:
         raise ValueError("the experiment spec has no out_dir to write to")
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    if config:
-        _write_whole(spec.out_dir / "config.json", _write_config_json, spec)
+    _write_whole(spec.out_dir / "config.json", _json(spec_to_dict(spec)))
     for bundle in bundles:
         directory = bundle_dir(spec, bundle)
         directory.mkdir(parents=True, exist_ok=True)
-        _write_whole(directory / "series.csv", write_series_csv, bundle)
-        _write_whole(directory / "majority.csv", write_majority_csv, bundle)
-        _write_whole(directory / "histograms.json", write_histograms_json, bundle)
+        runs = list(enumerate(bundle.series))
+        series = [(k, *snap) for k, s in runs for snap in s.snapshots]
+        series += [("mean", *snap) for snap in bundle.average]
+        _write_whole(directory / "series.csv", _csv(SERIES_FIELDS, series))
+        majority = [(k, *event) for k, s in runs for event in s.majority_events]
+        _write_whole(directory / "majority.csv", _csv(MAJORITY_FIELDS, majority))
+        _write_whole(directory / "histograms.json", _json(histograms_payload(bundle)))
         if spec.emit_dot:
             tree = bundle.series[0].final_main_tree
             if tree is not None:
                 dot_path = directory / f"main_tree_{bundle.config.t_max}.dot"
-                _write_whole(dot_path, Path.write_text, export_dot(tree))
+                _write_whole(dot_path, export_dot(tree))

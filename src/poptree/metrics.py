@@ -18,18 +18,9 @@ from .peers import PopularityIndex
 
 
 class Snapshot(NamedTuple):
-    """State of the run at one sampled step."""
-
-    t: int
-    main_tree_size: int
-    main_tree_avg_quality: float
-    total_nodes: int
-    total_nodes_viewed: int
-    total_versions: int
-
-
-class AverageSnapshot(NamedTuple):
-    """Pointwise mean of one snapshot row across realizations."""
+    """State of the run at one sampled step: one realization's, whose counts
+    are ints, or the mean across realizations, where every field but `t`
+    is a float."""
 
     t: int
     main_tree_size: float
@@ -181,7 +172,7 @@ class MajorityTracker:
         return fresh
 
 
-def average_snapshots(series: list[list[Snapshot]]) -> list[AverageSnapshot]:
+def average_snapshots(series: list[list[Snapshot]]) -> list[Snapshot]:
     """Pointwise mean across realizations; the snapshot grids must match."""
     if not series:
         return []
@@ -203,5 +194,5 @@ def average_snapshots(series: list[list[Snapshot]]) -> list[AverageSnapshot]:
             for value in column:
                 total += value
             means.append(total / n)
-        averaged.append(AverageSnapshot(t, *means))
+        averaged.append(Snapshot(t, *means))
     return averaged

@@ -207,6 +207,24 @@ def test_an_out_path_that_cannot_be_a_directory_is_a_usage_error(
     assert ran == []
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [(["--out", ""], None), (["--out", ""], {"out_dir": "results"}), ([], {"out_dir": ""})],
+    ids=["flag", "flag-over-a-file", "file"],
+)
+def test_an_empty_out_dir_is_a_usage_error(tmp_path, capsys, argv, config):
+    # an empty path would name the working directory, or be taken as no
+    # --out at all, so neither the flag nor a config file may give one
+    if config is not None:
+        path = tmp_path / "experiment.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    with pytest.raises(SystemExit) as excinfo:
+        parse_config(argv)
+    assert excinfo.value.code == 2
+    assert "out_dir must not be empty" in capsys.readouterr().err
+
+
 def test_main_prints_one_line_per_sweep_point(capsys):
     code = main(
         [

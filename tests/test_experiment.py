@@ -107,6 +107,7 @@ def test_spec_built_directly_takes_sweep_values_as_a_list_or_tuple():
         ("emit_dot", 1, "emit_dot must be true or false, got 1"),
         ("out_dir", 3, "out_dir must be a string, got 3"),
         ("out_dir", b"results", "out_dir must be a string, got b'results'"),
+        ("out_dir", "", "out_dir must not be empty"),
     ],
     ids=repr,
 )
@@ -347,11 +348,15 @@ def test_a_failed_sweep_point_keeps_the_points_before_it(tmp_path, monkeypatch):
 
 
 def test_a_write_that_fails_half_way_leaves_no_file(tmp_path, monkeypatch):
-    def half_written(path, bundle):
-        path.write_text("realization,node")
-        raise OSError("disk full")
+    write_text = Path.write_text
 
-    monkeypatch.setattr(export, "write_majority_csv", half_written)
+    def half_written(path, text, *args, **kwargs):
+        if path.name.startswith(".majority.csv."):  # the temp file of majority.csv
+            write_text(path, text[:16], *args, **kwargs)
+            raise OSError("disk full")
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", half_written)
     with pytest.raises(OSError, match="disk full"):
         run_experiment(ExperimentSpec(base=FAST, out_dir=tmp_path, snapshot_interval=100))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "series.csv"]

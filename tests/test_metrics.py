@@ -8,7 +8,6 @@ import pytest
 from poptree.directory import DirectoryStore, init_control_tree, main_tree
 from poptree.engine import SimConfig, Simulation, run_single
 from poptree.metrics import (
-    AverageSnapshot,
     MajorityTracker,
     QualityBucket,
     Snapshot,
@@ -280,8 +279,8 @@ def test_average_snapshots_pointwise_mean():
     b = [Snapshot(0, 4, 0.5, 4, 4, 4), Snapshot(10, 8, 0.8, 10, 9, 13)]
     averaged = average_snapshots([a, b])
     assert averaged == [
-        AverageSnapshot(0, 4.0, 0.5, 4.0, 4.0, 4.0),
-        AverageSnapshot(10, 7.0, 0.7, 9.0, 8.5, 11.0),
+        Snapshot(0, 4.0, 0.5, 4.0, 4.0, 4.0),
+        Snapshot(10, 7.0, 0.7, 9.0, 8.5, 11.0),
     ]
 
 

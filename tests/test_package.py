@@ -22,7 +22,6 @@ def test_public_names_are_the_cli_and_experiment_api():
         [
             "SimConfig",
             "Simulation",
-            "RunResult",
             "run",
             "run_single",
             "ExperimentSpec",
