@@ -7,10 +7,11 @@ bytes, so reruns of the same spec can be diffed directly.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from dataclasses import asdict
+from io import TextIOWrapper
+from itertools import chain
 from pathlib import Path
 
 from .directory import MainTree
@@ -88,28 +89,25 @@ def bundle_dir(spec: ExperimentSpec, bundle: ResultBundle) -> Path:
     return spec.out_dir / f"{param}={bundle.sweep_value}"
 
 
-def _csv(header: tuple[str, ...], rows) -> str:
-    """A CSV file's text: the header row, then `rows`, each ended by "\\n"."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return text.getvalue()
+def _csv(handle, rows) -> None:
+    """Write `rows` as CSV, each ended by "\\n", one row at a time."""
+    csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
-def _json(payload) -> str:
-    """A JSON file's text: `payload` indented, keys sorted, then "\\n"."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _json(handle, payload) -> None:
+    """Write `payload` as JSON, indented, keys sorted, then "\\n"."""
+    json.dump(payload, handle, indent=2, sort_keys=True)
+    handle.write("\n")
 
 
-def _write_whole(path: Path, text: str) -> None:
-    """Write `text` to a temp file next to `path`, then move it onto `path`:
-    a reader, or a run that fails half-way, never sees a half-written file.
-    Newlines are written as they are, so the bytes are the same on every
-    platform."""
+def _write_whole(path: Path, write, content, newline: str | None = None) -> None:
+    """Call write(handle, content) on a temp file next to `path`, opened
+    with `newline`, then move it onto `path`: a reader, or a run that fails
+    half-way, never sees a half-written file."""
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temp.write_text(text, newline="")
+        with temp.open("w", newline=newline) as handle:
+            write(handle, content)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -125,19 +123,24 @@ def write_outputs(spec: ExperimentSpec, bundles: list[ResultBundle]) -> None:
     if spec.out_dir is None:
         raise ValueError("the experiment spec has no out_dir to write to")
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_whole(spec.out_dir / "config.json", _json(spec_to_dict(spec)))
+    _write_whole(spec.out_dir / "config.json", _json, spec_to_dict(spec))
     for bundle in bundles:
         directory = bundle_dir(spec, bundle)
         directory.mkdir(parents=True, exist_ok=True)
         runs = list(enumerate(bundle.series))
-        series = [(k, *snap) for k, s in runs for snap in s.snapshots]
-        series += [("mean", *snap) for snap in bundle.average]
-        _write_whole(directory / "series.csv", _csv(SERIES_FIELDS, series))
-        majority = [(k, *event) for k, s in runs for event in s.majority_events]
-        _write_whole(directory / "majority.csv", _csv(MAJORITY_FIELDS, majority))
-        _write_whole(directory / "histograms.json", _json(histograms_payload(bundle)))
+        series = chain(
+            [SERIES_FIELDS],
+            ((k, *snap) for k, s in runs for snap in s.snapshots),
+            (("mean", *snap) for snap in bundle.average),
+        )
+        _write_whole(directory / "series.csv", _csv, series, newline="")
+        majority = chain(
+            [MAJORITY_FIELDS], ((k, *event) for k, s in runs for event in s.majority_events)
+        )
+        _write_whole(directory / "majority.csv", _csv, majority, newline="")
+        _write_whole(directory / "histograms.json", _json, histograms_payload(bundle))
         if spec.emit_dot:
             tree = bundle.series[0].final_main_tree
             if tree is not None:
                 dot_path = directory / f"main_tree_{bundle.config.t_max}.dot"
-                _write_whole(dot_path, export_dot(tree))
+                _write_whole(dot_path, TextIOWrapper.write, export_dot(tree))

@@ -348,15 +348,22 @@ def test_a_failed_sweep_point_keeps_the_points_before_it(tmp_path, monkeypatch):
 
 
 def test_a_write_that_fails_half_way_leaves_no_file(tmp_path, monkeypatch):
-    write_text = Path.write_text
+    open_ = Path.open
 
-    def half_written(path, text, *args, **kwargs):
+    def half_written(path, *args, **kwargs):
+        handle = open_(path, *args, **kwargs)
         if path.name.startswith(".majority.csv."):  # the temp file of majority.csv
-            write_text(path, text[:16], *args, **kwargs)
-            raise OSError("disk full")
-        return write_text(path, text, *args, **kwargs)
+            write = handle.write
 
-    monkeypatch.setattr(Path, "write_text", half_written)
+            def write_then_fail(text):
+                write(text[:16])
+                handle.flush()
+                raise OSError("disk full")
+
+            handle.write = write_then_fail
+        return handle
+
+    monkeypatch.setattr(Path, "open", half_written)
     with pytest.raises(OSError, match="disk full"):
         run_experiment(ExperimentSpec(base=FAST, out_dir=tmp_path, snapshot_interval=100))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "series.csv"]

@@ -6,7 +6,8 @@ Runs the four configs and the sweep of tests/test_golden.py and the three
 workloads of perfbench/workloads.py at their pinned seeds, in one process
 (jobs=1), and compares the SHA-256 of series.csv, majority.csv and
 histograms.json (for the sweep, of every file it writes) with the digests
-pinned in those two files.  The runs write under a temporary directory,
+pinned in those two files; a missing file, or a file the sweep writes that
+has no digest, differs.  The runs write under a temporary directory,
 which is also the working directory, since the sweep's out_dir is relative.
 With INTERPRETERs it runs itself under each of them in turn; without, it
 checks the interpreter running it.
@@ -58,6 +59,11 @@ def golden_runs(out: Path):
         yield f"perfbench/{name}", spec_from_dict(data), GOLDEN[name]
 
 
+def digest(path: Path) -> str | None:
+    """The SHA-256 of the file at `path`, or None if there is none."""
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+
+
 def check_here() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from poptree.experiment import run_experiment
@@ -66,17 +72,19 @@ def check_here() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as out:
         os.chdir(out)  # the sweep's relative out_dir lands here
-        for name, spec, golden in golden_runs(Path(out)):
-            run_experiment(spec, jobs=1)
-            differ = [
-                file
-                for file, digest in golden.items()
-                if hashlib.sha256((spec.out_dir / file).read_bytes()).hexdigest() != digest
-            ]
-            failed += bool(differ)
-            result = "differs: " + ", ".join(differ) if differ else "ok"
-            print(f"{version} {name}: {result}", flush=True)
-        os.chdir(ROOT)  # leave the temporary directory before it is removed
+        try:
+            for name, spec, golden in golden_runs(Path(out)):
+                run_experiment(spec, jobs=1)
+                files = set(golden)
+                if spec.sweep is not None:  # a sweep's digests pin every file it writes
+                    written = (p for p in spec.out_dir.rglob("*") if p.is_file())
+                    files |= {p.relative_to(spec.out_dir).as_posix() for p in written}
+                differ = [f for f in sorted(files) if digest(spec.out_dir / f) != golden.get(f)]
+                failed += bool(differ)
+                result = "differs: " + ", ".join(differ) if differ else "ok"
+                print(f"{version} {name}: {result}", flush=True)
+        finally:
+            os.chdir(ROOT)  # leave the temporary directory before it is removed
     return 1 if failed else 0
 
 
