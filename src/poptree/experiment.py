@@ -120,8 +120,11 @@ def _reject_unknown_keys(what: str, data, known: tuple[str, ...]) -> None:
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Inverse of spec_to_dict.  Missing keys take their defaults; an
     unknown key or a sweep without its param or values is a ValueError that
-    names it, and so is any value `ExperimentSpec` refuses, such as a
-    non-string out_dir, a non-bool emit_dot or a non-string sweep param."""
+    names it, and so is a value out of its range or one of the other fields
+    `ExperimentSpec` refuses, such as a non-string out_dir, a non-bool
+    emit_dot or a non-string sweep param.  A config value or a
+    snapshot_interval of the wrong type, such as a float count, is a
+    TypeError naming it."""
     _reject_unknown_keys("experiment", data, _SPEC_KEYS)
     config = data.get("config", {})
     _reject_unknown_keys("config", config, _CONFIG_KEYS)
@@ -148,21 +151,23 @@ def run_experiment(spec: ExperimentSpec, jobs: int | None = None) -> list[Result
     write its files (series.csv, histograms.json, majority.csv, config,
     and optionally the final main tree as DOT).
 
-    config.json is written before the first point runs, and each point's
-    files (config.json again with them) as soon as that point is done, so
-    a failure at one point keeps the points before it.  `jobs` is passed
-    on to `run`: how many processes run a point's realizations.  It never
-    changes an output.
+    config.json is written once, before the first point runs, and each
+    point's files as soon as that point is done, so a failure at one point
+    keeps the points before it.  `jobs` is passed on to `run`: how many
+    processes run a point's realizations.  It never changes an output.
     """
-    from . import export  # deferred: export imports this module's types
+    from . import export  # deferred: keeps csv out of `import poptree`
 
     check_jobs(jobs)
-    if spec.out_dir is not None:
-        export.write_outputs(spec, [])
+    out = spec.out_dir
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        export.write_json(out / "config.json", spec_to_dict(spec))
     bundles = []
     for value, config in spec.configs():
         bundle = run(config, spec.snapshot_interval, jobs)._replace(sweep_value=value)
         bundles.append(bundle)
-        if spec.out_dir is not None:
-            export.write_outputs(spec, [bundle])
+        if out is not None:
+            point = out if value is None else out / f"{spec.sweep[0]}={value}"
+            export.write_outputs(point, bundle, spec.emit_dot)
     return bundles

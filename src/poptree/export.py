@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .directory import MainTree
 from .engine import ResultBundle
-from .experiment import ExperimentSpec, spec_to_dict
 from .metrics import MajorityEvent, Snapshot
 
 # a row is the realization followed by every field of its record, in order
@@ -78,26 +77,9 @@ def histograms_payload(bundle: ResultBundle) -> dict:
     }
 
 
-def bundle_dir(spec: ExperimentSpec, bundle: ResultBundle) -> Path:
-    """Where one sweep point's files live: the out dir itself, or a
-    param=value subdirectory when sweeping."""
-    if spec.out_dir is None:
-        raise ValueError("the experiment spec has no out_dir to write to")
-    if bundle.sweep_value is None:
-        return spec.out_dir
-    param = spec.sweep[0]  # type: ignore[index]
-    return spec.out_dir / f"{param}={bundle.sweep_value}"
-
-
 def _csv(handle, rows) -> None:
     """Write `rows` as CSV, each ended by "\\n", one row at a time."""
     csv.writer(handle, lineterminator="\n").writerows(rows)
-
-
-def _json(handle, payload) -> None:
-    """Write `payload` as JSON, indented, keys sorted, then "\\n"."""
-    json.dump(payload, handle, indent=2, sort_keys=True)
-    handle.write("\n")
 
 
 def _write_whole(path: Path, write, content, newline: str | None = None) -> None:
@@ -114,33 +96,34 @@ def _write_whole(path: Path, write, content, newline: str | None = None) -> None
         raise
 
 
-def write_outputs(spec: ExperimentSpec, bundles: list[ResultBundle]) -> None:
-    """Write the resolved spec as config.json, then every given sweep
-    point's files: series.csv has one row per snapshot per realization,
-    then the averaged series with realization "mean"; majority.csv one row
-    per majority event.  Each file is written whole to a temp file and
-    renamed into place."""
-    if spec.out_dir is None:
-        raise ValueError("the experiment spec has no out_dir to write to")
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_whole(spec.out_dir / "config.json", _json, spec_to_dict(spec))
-    for bundle in bundles:
-        directory = bundle_dir(spec, bundle)
-        directory.mkdir(parents=True, exist_ok=True)
-        runs = list(enumerate(bundle.series))
-        series = chain(
-            [SERIES_FIELDS],
-            ((k, *snap) for k, s in runs for snap in s.snapshots),
-            (("mean", *snap) for snap in bundle.average),
-        )
-        _write_whole(directory / "series.csv", _csv, series, newline="")
-        majority = chain(
-            [MAJORITY_FIELDS], ((k, *event) for k, s in runs for event in s.majority_events)
-        )
-        _write_whole(directory / "majority.csv", _csv, majority, newline="")
-        _write_whole(directory / "histograms.json", _json, histograms_payload(bundle))
-        if spec.emit_dot:
-            tree = bundle.series[0].final_main_tree
-            if tree is not None:
-                dot_path = directory / f"main_tree_{bundle.config.t_max}.dot"
-                _write_whole(dot_path, TextIOWrapper.write, export_dot(tree))
+def write_json(path: Path, payload) -> None:
+    """Write `payload` whole to `path` as JSON, indented, keys sorted, then
+    "\\n": config.json and histograms.json."""
+    _write_whole(path, TextIOWrapper.write, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_outputs(directory: Path, bundle: ResultBundle, emit_dot: bool) -> None:
+    """Write one sweep point's files into `directory`: series.csv has one
+    row per snapshot per realization, then the averaged series with
+    realization "mean"; majority.csv one row per majority event; then
+    histograms.json and, with `emit_dot`, realization 0's final main tree
+    as DOT.  Each file is written whole to a temp file and renamed into
+    place."""
+    directory.mkdir(parents=True, exist_ok=True)
+    runs = list(enumerate(bundle.series))
+    series = chain(
+        [SERIES_FIELDS],
+        ((k, *snap) for k, s in runs for snap in s.snapshots),
+        (("mean", *snap) for snap in bundle.average),
+    )
+    _write_whole(directory / "series.csv", _csv, series, newline="")
+    majority = chain(
+        [MAJORITY_FIELDS], ((k, *event) for k, s in runs for event in s.majority_events)
+    )
+    _write_whole(directory / "majority.csv", _csv, majority, newline="")
+    write_json(directory / "histograms.json", histograms_payload(bundle))
+    if emit_dot:
+        tree = bundle.series[0].final_main_tree
+        if tree is not None:
+            dot_path = directory / f"main_tree_{bundle.config.t_max}.dot"
+            _write_whole(dot_path, TextIOWrapper.write, export_dot(tree))

@@ -12,7 +12,6 @@ popularity signal that drives default browsing.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -54,11 +53,10 @@ class ValueRecord:
 class Namespace:
     """Multi-writer key/value store with per-(peer, key) single values."""
 
-    def __init__(self, rng: random.Random | None = None):
+    def __init__(self):
         self._entries: dict[Key, dict[PeerId, ValueRecord]] = {}
         self._keys_by_peer: dict[PeerId, set[Key]] = {}
         self._name_of_key: dict[Key, str] = {}
-        self._rng = rng
 
     def key_for(self, name: str) -> Key:
         """Digest a name, aborting the run if it collides with another name."""
@@ -78,31 +76,9 @@ class Namespace:
         self._entries.setdefault(key, {})[peer] = value
         self._keys_by_peer.setdefault(peer, set()).add(key)
 
-    def get(self, key: Key, limit: int | None = None) -> set[ValueRecord]:
-        """All values stored under `key` by any peer.
-
-        A limit models a download time cutoff: at most `limit` of the
-        stored values are returned, sampled uniformly without replacement.
-        """
-        stored = self._entries.get(key, {})
-        return set(self._sample(list(stored.values()), limit))
-
-    def _sample(self, values: list, limit: int | None) -> list:
-        """`values`, or `limit` of them sampled uniformly without replacement
-        with the namespace's rng, which a limit between 0 and their count
-        needs.  A limit that is not None or an int >= 0 is refused before
-        any draw."""
-        if limit is not None and (
-            not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
-        ):
-            raise ValueError(f"limit must be None or an int >= 0, got {limit!r}")
-        if limit is None or limit >= len(values):
-            return values
-        if limit == 0:
-            return []
-        if self._rng is None:
-            raise ValueError(f"a limit of {limit} below {len(values)} values needs an rng to sample")
-        return self._rng.sample(values, limit)
+    def get(self, key: Key) -> set[ValueRecord]:
+        """All values stored under `key` by any peer."""
+        return set(self._entries.get(key, {}).values())
 
     def remove_peer(self, peer: PeerId) -> None:
         """Drop every value `peer` has stored, under every key."""
@@ -112,36 +88,28 @@ class Namespace:
             if not stored:
                 del self._entries[key]
 
-    def resolve(
-        self, name: str, limit: int | None = None
-    ) -> list[tuple[ValueRecord, int]]:
+    def resolve(self, name: str) -> list[tuple[ValueRecord, int]]:
         """Version records registered under a node name, most popular first.
 
         Each record is paired with the number of distinct peers registered
-        to it.  With a limit, counts are inferred from a uniform sample of
-        the registrations, the way a download cutoff would see them.  Ties
-        keep first-registration order, so the result is reproducible.
+        to it.  Ties keep first-registration order, so the result is
+        reproducible.
         """
-        stored = self._entries.get(self.key_for(name), {})
-        registrations = self._sample(list(stored.values()), limit)
         counts: dict[ValueRecord, int] = {}
-        for record in registrations:
+        for record in self._entries.get(self.key_for(name), {}).values():
             counts[record] = counts.get(record, 0) + 1
         return sorted(counts.items(), key=lambda item: -item[1])
 
 
-def view(
-    preferences: Iterable[Mapping[int, int]], rng: random.Random | None = None
-) -> Namespace:
+def view(preferences: Iterable[Mapping[int, int]]) -> Namespace:
     """The namespace that viewing preferences register.
 
     `preferences` holds one node -> version mapping per peer, in peer-id
     order.  Each peer stores, under each node's key, the record of the
     version it views: named "node-<i> v<j>", with the digest of
-    "node-<i>/v<j>" as its content reference.  Limited `get`/`resolve`
-    calls on the result sample with `rng`, and need one to sample.
+    "node-<i>/v<j>" as its content reference.
     """
-    namespace = Namespace(rng)
+    namespace = Namespace()
     for peer, prefs in enumerate(preferences):
         for node, version in prefs.items():
             name = node_name(node)

@@ -56,9 +56,9 @@ class ScriptedRandom:
 # hold the simulation to it draw for draw and write for write.
 
 
-def namespace_of(peers: PeerPopulation, rng=None) -> Namespace:
+def namespace_of(peers: PeerPopulation) -> Namespace:
     """The namespace that `peers`' current preferences register."""
-    return view([peers.preferences_of(p) for p in range(peers.n_peers)], rng)
+    return view([peers.preferences_of(p) for p in range(peers.n_peers)])
 
 
 def reference_step(sim: Simulation) -> TraversalRecord:

@@ -747,20 +747,6 @@ def test_namespace_resolution_tracks_viewer_counts():
         assert resolved == expected
 
 
-def test_limited_resolution_is_a_function_of_the_preferences_and_the_rng():
-    sim = Simulation(SimConfig(n_peers=50, seed=3))
-    for _ in range(500):
-        sim.step()
-
-    def sampled():
-        namespace = namespace_of(sim.peers, random.Random(11))
-        return [namespace.resolve(f"node-{node}", limit=5) for node in (1, 2, 3, 4)]
-
-    first = sampled()
-    assert any(sum(count for _, count in resolved) == 5 for resolved in first)
-    assert sampled() == first
-
-
 def test_metrics_do_not_perturb_the_trajectory():
     # Observing more often must not change what happened: snapshots at the
     # shared grid points must be identical.

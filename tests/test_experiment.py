@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from poptree import engine, experiment, export
+from poptree import engine, experiment
 from poptree.directory import MainTree, NodeVersion
 from poptree.engine import SimConfig
 from poptree.experiment import (
@@ -167,6 +168,8 @@ def test_spec_from_dict_rejects_non_objects(data):
 def test_spec_from_dict_rejects_float_counts():
     with pytest.raises(TypeError, match="n_peers"):
         spec_from_dict({"config": {"n_peers": 10.5}})
+    with pytest.raises(TypeError, match="snapshot_interval"):
+        spec_from_dict({"snapshot_interval": 1.0})
 
 
 @pytest.mark.parametrize("value", [10.5, 10.0, True, "10.5", "ten", None], ids=repr)
@@ -278,6 +281,27 @@ def test_outputs_written_per_sweep_point(tmp_path):
     assert loaded == spec
 
 
+def test_a_sweep_writes_config_json_once(tmp_path, monkeypatch):
+    replaced = []
+    replace_ = os.replace
+
+    def spy(src, dst):
+        replaced.append(Path(dst).relative_to(tmp_path).as_posix())
+        replace_(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    spec = ExperimentSpec(
+        base=replace(FAST, realizations=1),
+        sweep=("p_update", (0.1, 0.9)),
+        out_dir=tmp_path,
+        snapshot_interval=100,
+    )
+    run_experiment(spec)
+    assert replaced.count("config.json") == 1
+    assert replaced[0] == "config.json"  # before the first point's files
+    assert len(replaced) == 1 + 2 * 3
+
+
 def test_series_csv_schema_and_shape(tmp_path):
     spec = ExperimentSpec(base=FAST, out_dir=tmp_path, snapshot_interval=100)
     (bundle,) = run_experiment(spec)
@@ -367,17 +391,6 @@ def test_a_write_that_fails_half_way_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         run_experiment(ExperimentSpec(base=FAST, out_dir=tmp_path, snapshot_interval=100))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "series.csv"]
-
-
-@pytest.mark.parametrize(
-    "write",
-    [lambda spec: export.write_outputs(spec, []), lambda spec: export.bundle_dir(spec, None)],
-    ids=["write_outputs", "bundle_dir"],
-)
-def test_writing_without_an_out_dir_is_a_value_error(write):
-    # a check that raises, not an assert, so it holds under python -O too
-    with pytest.raises(ValueError, match="out_dir"):
-        write(ExperimentSpec())
 
 
 def test_jobs_are_checked_before_anything_is_written(tmp_path):

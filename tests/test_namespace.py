@@ -1,10 +1,6 @@
-"""Namespace store semantics: multi-writer keys, sampling, resolution."""
-
-import random
-import re
+"""Namespace store semantics: multi-writer keys, resolution."""
 
 import pytest
-from scipy.stats import chisquare
 
 from poptree.namespace import (
     KeyCollisionError,
@@ -12,7 +8,6 @@ from poptree.namespace import (
     ValueRecord,
     digest,
     node_name,
-    view,
 )
 
 
@@ -66,33 +61,6 @@ def test_get_without_limit_returns_all():
     for peer, rec in enumerate(records):
         ns.put(peer, K, rec)
     assert ns.get(K) == set(records)
-    assert ns.get(K, limit=9) == set(records)
-
-
-def test_get_limit_returns_min_of_limit_and_total():
-    ns = Namespace(random.Random(3))
-    for peer in range(5):
-        ns.put(peer, K, record(f"v{peer}"))
-    sample = ns.get(K, limit=3)
-    assert len(sample) == 3
-    assert sample <= ns.get(K)
-
-
-def test_get_limit_samples_subsets_uniformly():
-    # 5 stored values, limit 3: each of the C(5,3)=10 subsets should be
-    # equally likely.  Chi-square on 10^4 draws at the 1% level.
-    ns = Namespace(random.Random(20240517))
-    records = [record(f"v{i}") for i in range(5)]
-    for peer, rec in enumerate(records):
-        ns.put(peer, K, rec)
-    tallies: dict[frozenset, int] = {}
-    draws = 10_000
-    for _ in range(draws):
-        sample = frozenset(r.description for r in ns.get(K, limit=3))
-        tallies[sample] = tallies.get(sample, 0) + 1
-    assert len(tallies) == 10
-    result = chisquare(list(tallies.values()))
-    assert result.pvalue > 0.01
 
 
 def test_remove_peer_drops_all_its_records():
@@ -162,55 +130,6 @@ def test_resolve_tie_order_is_reproducible():
     first, second = build(), build()
     assert first == second
     assert [r.description for r, _ in first] == ["first", "second"]
-
-
-def test_resolve_with_limit_counts_within_sample():
-    ns = Namespace(random.Random(8))
-    key = ns.key_for("limited")
-    for peer in range(6):
-        ns.put(peer, key, record(f"v{peer % 2}"))
-    resolved = ns.resolve("limited", limit=3)
-    assert sum(count for _, count in resolved) == 3
-
-
-def test_a_limited_read_without_an_rng_is_refused():
-    # without an rng a sample would come from an unseeded source, so two
-    # reads of the same preferences could differ
-    namespace = view([{1: 1}, {1: 2}, {1: 1}, {1: 3}])
-    key = namespace.key_for("node-1")
-    with pytest.raises(ValueError, match="rng"):
-        namespace.resolve("node-1", limit=3)
-    with pytest.raises(ValueError, match="rng"):
-        namespace.get(key, limit=2)
-    # a read that keeps every stored value samples nothing
-    assert namespace.resolve("node-1", limit=4) == namespace.resolve("node-1")
-    assert namespace.get(key, limit=4) == namespace.get(key)
-    assert len(namespace.get(key)) == 3
-
-
-@pytest.mark.parametrize("limit", [-1, -5, True, False, 1.5, "2"])
-@pytest.mark.parametrize("seed", [None, 3], ids=["no-rng", "rng"])
-@pytest.mark.parametrize("read", ["get", "resolve"])
-def test_a_limit_that_is_not_a_count_is_refused_before_any_draw(read, seed, limit):
-    rng = None if seed is None else random.Random(seed)
-    namespace = view([{1: 1}, {1: 2}, {1: 1}], rng)
-    key = namespace.key_for("node-1")
-    arg = key if read == "get" else "node-1"
-    message = f"limit must be None or an int >= 0, got {limit!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        getattr(namespace, read)(arg, limit=limit)
-    # also under a key with nothing stored
-    with pytest.raises(ValueError, match=re.escape(message)):
-        getattr(namespace, read)(digest("nothing") if read == "get" else "node-2", limit=limit)
-    if rng is not None:
-        assert rng.getstate() == random.Random(seed).getstate()
-
-
-@pytest.mark.parametrize("read", ["get", "resolve"])
-def test_a_zero_limit_reads_nothing_without_an_rng(read):
-    namespace = view([{1: 1}, {1: 2}, {1: 1}])
-    arg = namespace.key_for("node-1") if read == "get" else "node-1"
-    assert not getattr(namespace, read)(arg, limit=0)
 
 
 def test_key_collision_aborts(monkeypatch):

@@ -87,10 +87,13 @@ def test_benchmark_worker_runs_a_tiny_experiment(tmp_path, mode):
 
 def test_a_run_does_not_load_the_namespace_model():
     # the simulation core keeps no namespace bridge: the DHT model is built
-    # from the preferences by poptree.namespace.view, never by a run
+    # from the preferences by poptree.namespace.view, never by a run; and
+    # set-up (import and parsing the command line) loads no writer
     script = (
         "import sys\n"
         "import poptree, poptree.cli\n"
+        "poptree.cli.parse_config(['--steps', '50'])\n"
+        "assert 'csv' not in sys.modules and 'poptree.export' not in sys.modules, sorted(sys.modules)\n"
         "poptree.run_single(poptree.SimConfig(t_max=50, realizations=1))\n"
         "assert 'poptree.namespace' not in sys.modules, sorted(sys.modules)\n"
     )
