@@ -121,8 +121,8 @@ def choose_update_index(mean_degree: float, k: int, p: float) -> int:
 
     mean_degree 0 is accepted only for k == 1: for k >= 2 the staircase
     has no steps at d = 0.  A literal walk counts the versions as first
-    viewed, so its degree sum can be 0 over several entries; `traverse`
-    then takes index 0, the d -> 0+ limit, without calling this.  A NaN or
+    viewed, so its degree sum can be 0 over several entries; `step` then
+    takes index 0, the d -> 0+ limit, without calling this.  A NaN or
     infinite mean_degree is refused.
     """
     if k < 1:
@@ -185,25 +185,9 @@ class Simulation:
         return self.peers.index
 
     def step(self) -> TraversalRecord:
-        """Advance time by one traversal of a uniformly chosen peer, who is
-        first churned out with probability p_leave (the replacement peer
-        then walks immediately)."""
-        cfg = self.config
-        rng = self._rng
-        # randrange(n_peers), same draw: the body of Random._randbelow
-        n = cfg.n_peers
-        bits = n.bit_length()
-        peer = rng.getrandbits(bits)
-        while peer >= n:
-            peer = rng.getrandbits(bits)
-        if rng.random() < cfg.p_leave:
-            self.peers.churn_reset(peer)
-        self.t += 1
-        return self._traverse(peer)
-
-    def traverse(self, peer: int) -> TraversalRecord:
-        """Walk from the root to a leaf as `peer`, then maybe update one
-        node on the path.
+        """Advance time by one step: a uniformly chosen peer, first churned
+        out with probability p_leave, walks from the root to a leaf, then
+        maybe updates one node on the path.
 
         The walk is `PeerPopulation.walker`'s, bound to `rng`: the peer
         views its preferred version or, without one, the default (a uniform
@@ -213,21 +197,24 @@ class Simulation:
         update target's version is read from there.  A literal walk's path
         can be empty, which updates nothing and draws no more, and its
         degree sum can be 0 over several entries, which takes index 0, the
-        d -> 0+ limit of the staircase.  A peer outside the population is
-        refused before any draw or write.
-        """
-        if not 0 <= peer < self.config.n_peers:
-            raise IndexError(f"peer {peer} not in range(n_peers={self.config.n_peers})")
-        return self._traverse(peer)
-
-    def _traverse(self, peer: int) -> TraversalRecord:
-        """`traverse` of a peer known to be in the population."""
+        d -> 0+ limit of the staircase."""
+        cfg = self.config
+        rng = self._rng
+        # randrange(n_peers), same draw: the body of Random._randbelow
+        n = cfg.n_peers
+        bits = n.bit_length()
+        peer = rng.getrandbits(bits)
+        while peer >= n:
+            peer = rng.getrandbits(bits)
+        random_draw = rng.random
+        if random_draw() < cfg.p_leave:
+            self.peers.churn_reset(peer)
+        self.t += 1
         path, degree = self._walk(peer)
         if not path:
             return _tuple_new(TraversalRecord, (peer, path, None))
-        random_draw = self._rng.random
         p = random_draw()
-        if random_draw() >= self.config.p_update:
+        if random_draw() >= cfg.p_update:
             return _tuple_new(TraversalRecord, (peer, path, None))
         k = len(path)
         target = path[choose_update_index(degree / k, k, p) if degree else 0]

@@ -247,7 +247,7 @@ class PeerPopulation:
         self.set_preference(peer, node, j)
         return self.store.version(node, j)
 
-    def walker(self, rng: random.Random, literal: bool = False):
+    def walker(self, rng: random.Random, literal: bool):
         """The walk with `rng` and `literal` bound: `walk(peer)` walks from
         the root to a leaf as `peer` and returns the directory nodes
         occupied, the root included, and the sum of the out-degrees of the

@@ -62,21 +62,14 @@ def namespace_of(peers: PeerPopulation) -> Namespace:
 
 
 def reference_step(sim: Simulation) -> TraversalRecord:
-    """`Simulation.step` with the reference walk."""
-    cfg = sim.config
-    rng = sim.rng
-    peer = rng._randbelow(cfg.n_peers)
-    if rng.random() < cfg.p_leave:
-        sim.peers.churn_reset(peer)
-    sim.t += 1
-    return reference_traverse(sim, peer)
-
-
-def reference_traverse(sim: Simulation, peer: int) -> TraversalRecord:
-    """`Simulation.traverse`, built on `viewing`/`select`."""
+    """`Simulation.step`, built on `_randbelow` and `viewing`/`select`."""
     cfg = sim.config
     rng = sim.rng
     peers = sim.peers
+    peer = rng._randbelow(cfg.n_peers)
+    if rng.random() < cfg.p_leave:
+        peers.churn_reset(peer)
+    sim.t += 1
     literal = cfg.literal_traversal
     viewed_degree = 0
 

@@ -37,7 +37,6 @@ from support import (
     namespace_of,
     records,
     reference_step,
-    reference_traverse,
 )
 
 
@@ -52,7 +51,7 @@ def path_of(sim, record):
 
 def spy_walk(sim):
     """The (path, degree sum) of every walk `sim`'s bound walk returns to
-    `traverse`, in order, until `sim.rng` is next assigned."""
+    `step`, in order, until `sim.rng` is next assigned."""
     walk = sim._walk
     walked = []
     sim._walk = lambda peer: walked.append(walk(peer)) or walked[-1]
@@ -114,7 +113,7 @@ def test_single_entry_paths_need_no_degree():
 
 
 def test_degree_zero_over_several_entries_is_left_to_the_caller():
-    # a literal walk can sum degree 0 over 2+ entries; traverse takes index 0 itself
+    # a literal walk can sum degree 0 over 2+ entries; step takes index 0 itself
     with pytest.raises(ValueError, match=r"needs k == 1; .* limit is index 0"):
         choose_update_index(0.0, 2, 0.5)
 
@@ -272,12 +271,14 @@ def test_initial_state():
 
 def test_traverse_hand_trace_on_initial_tree():
     sim = Simulation(SimConfig())
-    # peer 0 views everything: no viewing draws.  Scripted draws: root
-    # quality test (keep), child pick -> node 3, its quality test (keep),
-    # update-position draw, update-decision draw (no update).
-    sim.rng = ScriptedRandom(randoms=[0.3, 0.4, 0.0, 0.9], randranges=[1])
+    # peer 0 views everything: no viewing draws.  Scripted draws: the peer,
+    # the churn test (stay), root quality test (keep), child pick -> node 3,
+    # its quality test (keep), update-position draw, update-decision draw
+    # (no update).
+    sim.rng = ScriptedRandom(randoms=[0.5, 0.3, 0.4, 0.0, 0.9], randranges=[0, 1])
     walked = spy_walk(sim)
-    record = sim.traverse(0)
+    record = sim.step()
+    assert record.peer == 0
     assert path_of(sim, record) == [(1, 1), (3, 1)]
     assert walked == [([1, 3], 3)]  # mean degree 1.5
     assert record.updated is None
@@ -289,9 +290,10 @@ def test_traverse_childless_root_path_of_one():
     sim = Simulation(SimConfig())
     sim.store.add_version(1, 0.9, (), created_at=0)
     sim.peers.set_preference(5, 1, 2)
-    sim.rng = ScriptedRandom(randoms=[0.3, 0.5, 0.9])  # keep, position, no update
+    # peer 5; stay, keep, position, no update
+    sim.rng = ScriptedRandom(randoms=[0.5, 0.3, 0.5, 0.9], randranges=[5])
     walked = spy_walk(sim)
-    record = sim.traverse(5)
+    record = sim.step()
     assert path_of(sim, record) == [(1, 2)]
     assert walked == [([1], 0)]
     assert sim.rng.exhausted()
@@ -301,22 +303,25 @@ def test_traverse_updates_childless_root():
     sim = Simulation(SimConfig())
     sim.store.add_version(1, 0.9, (), created_at=0)
     sim.peers.set_preference(5, 1, 2)
-    # keep, position, update yes; then inside the update: new quality,
-    # delete-branch draw (> p_add but no links: falls through to add),
-    # kind draw (directory), child quality
-    sim.rng = ScriptedRandom(randoms=[0.3, 0.5, 0.2, 0.6, 0.9, 0.7, 0.5])
-    record = sim.traverse(5)
-    assert record.updated == 1
+    # peer 5; stay, keep, position, update yes; then inside the update: new
+    # quality, delete-branch draw (> p_add but no links: falls through to
+    # add), kind draw (directory), child quality
+    sim.rng = ScriptedRandom(randoms=[0.5, 0.3, 0.5, 0.2, 0.6, 0.9, 0.7, 0.5], randranges=[5])
+    record = sim.step()
+    assert record == (5, [1], 1)
     assert sim.store.node_count == 5
     assert sim.store.version(1, 3).children == (5,)
+    # the step ticks the clock before it walks
+    assert sim.store.version(1, 3).created_at == sim.store.version(5, 1).created_at == sim.t == 1
     assert sim.rng.exhausted()
 
 
 def test_quality_draws_below_q_never_deviate(monkeypatch):
-    # Every quality test passes: the walk must follow the peer's own
-    # preferences exactly and never re-pick.  With p_update=0 only a re-pick
-    # that changes the peer's version calls index.decrement, and nine other
-    # peers on a second version of every node make almost any re-pick a change.
+    # Every quality test passes: each walker must follow its own preferences
+    # exactly and never re-pick.  With p_update=0 only a re-pick that changes
+    # the walker's version calls index.decrement.  Peers 0-4 hold version 1
+    # of every node and peers 5-9 version 2, so a re-pick changes the
+    # walker's version with probability 1/2, and 200 steps make about 400.
     # The walk binds the index's methods and the RNG's when it is bound, so
     # both are patched before the simulation and its RNG are set.
     decrement_calls = []
@@ -326,20 +331,25 @@ def test_quality_draws_below_q_never_deviate(monkeypatch):
         "decrement",
         lambda index, *args: decrement_calls.append(args) or original(index, *args),
     )
-    sim = Simulation(SimConfig(p_update=0.0))
+    sim = Simulation(SimConfig(n_peers=10, p_update=0.0))
     for node in (1, 2, 3, 4):
         sim.store.add_version(node, 0.5, sim.store.version(node, 1).children, created_at=0)
         for peer in range(1, 10):
-            sim.peers.set_preference(peer, node, 2)
-    # only random() is pinned: a subclass overriding it would also pin the
-    # integer draws, which Random then derives from random()
+            sim.peers.set_preference(peer, node, 1 if peer < 5 else 2)
+    held = [dict(sim.peers.preferences_of(peer)) for peer in range(10)]
+    # only random() is pinned, which also keeps every peer from churning: a
+    # subclass overriding it would also pin the integer draws, which Random
+    # then derives from random()
     rng = random.Random(3)
     rng.random = lambda: 0.0
     sim.rng = rng
-    for _ in range(100):
-        record = sim.traverse(0)
-        # a re-pick would rewrite a preference, so the walk occupied v1 throughout
-        assert sim.peers.preferences_of(0) == {1: 1, 2: 1, 3: 1, 4: 1}
+    walkers = set()
+    for _ in range(200):
+        walkers.add(sim.step().peer)
+        # a re-pick would rewrite a preference, so each walker occupied the
+        # versions it held throughout
+        assert [sim.peers.preferences_of(peer) for peer in range(10)] == held
+    assert walkers == set(range(10))
     assert decrement_calls == []
 
 
@@ -374,9 +384,9 @@ def test_traverse_record_invariants_over_a_run(monkeypatch):
 
 def test_literal_trace_excludes_root_from_path():
     sim = Simulation(SimConfig(literal_traversal=True))
-    sim.rng = ScriptedRandom(randoms=[0.3, 0.4, 0.0, 0.9], randranges=[1])
+    sim.rng = ScriptedRandom(randoms=[0.5, 0.3, 0.4, 0.0, 0.9], randranges=[0, 1])
     walked = spy_walk(sim)
-    record = sim.traverse(0)
+    record = sim.step()
     assert path_of(sim, record) == [(3, 1)]
     assert walked == [([3], 3)]  # the root's degree still counts
     assert sim.rng.exhausted()
@@ -386,16 +396,17 @@ def test_literal_empty_path_skips_the_update():
     sim = Simulation(SimConfig(literal_traversal=True))
     sim.store.add_version(1, 0.9, (), created_at=0)
     sim.peers.set_preference(5, 1, 2)
-    sim.rng = ScriptedRandom(randoms=[0.3])  # only the root quality test
+    # peer 5; stay, then only the root quality test
+    sim.rng = ScriptedRandom(randoms=[0.5, 0.3], randranges=[5])
     walked = spy_walk(sim)
-    record = sim.traverse(5)
+    record = sim.step()
     assert walked == [([], 0)]
     assert record == (5, [], None)
     assert sim.rng.exhausted()
 
 
-@pytest.mark.parametrize("traverse", [Simulation.traverse, reference_traverse])
-def test_literal_walk_with_childless_first_views_updates_its_first_entry(monkeypatch, traverse):
+@pytest.mark.parametrize("step", [Simulation.step, reference_step])
+def test_literal_walk_with_childless_first_views_updates_its_first_entry(monkeypatch, step):
     # every version peer 1 first views is childless, but its re-picks land on
     # root v1 and node 2 v2, so two entries stay after the root is dropped,
     # with a degree sum of 0: the staircase is never consulted
@@ -412,14 +423,15 @@ def test_literal_walk_with_childless_first_views_updates_its_first_entry(monkeyp
     for node, version in ((1, 2), (2, 1), (5, 1)):
         peers.set_preference(1, node, version)
     peers.set_preference(2, 2, 2)
-    # root: fail, re-pick v1 (peer 0's), child 2; node 2: fail, re-pick v2
-    # (peer 2's), its single child 5; node 5: keep.  Then the position draw,
-    # the update draw and the update's quality, add, kind and child quality.
+    # peer 1, stay; root: fail, re-pick v1 (peer 0's), child 2; node 2:
+    # fail, re-pick v2 (peer 2's), its single child 5; node 5: keep.  Then
+    # the position draw, the update draw and the update's quality, add, kind
+    # and child quality.
     sim.rng = ScriptedRandom(
-        randoms=[0.9, 0.9, 0.0, 0.7, 0.0, 0.5, 0.5, 0.5, 0.5],
-        randranges=[0, 0, 2],
+        randoms=[0.5, 0.9, 0.9, 0.0, 0.7, 0.0, 0.5, 0.5, 0.5, 0.5],
+        randranges=[1, 0, 0, 2],
     )
-    record = traverse(sim, 1)
+    record = step(sim)
     assert record.path == [2, 5]
     assert record.updated == 2  # index 0, the d -> 0+ limit of the staircase
     # the update copied the links of v2, the version occupied at node 2
@@ -535,9 +547,8 @@ def test_update_of_an_unknown_version_changes_nothing(node, version):
     assert sim.peers.preferences_of(1) == {}
 
 
-@pytest.mark.parametrize("peer", [3, -1, 10**9])
-@pytest.mark.parametrize("call", ["traverse", "apply_update"])
-def test_a_peer_outside_the_population_changes_nothing(call, peer):
+@pytest.mark.parametrize("peer", [3, -1, 10**9], ids=lambda peer: f"apply_update-{peer}")
+def test_a_peer_outside_the_population_changes_nothing(peer):
     # a negative peer would act as peer 2, and peer 3 used to fail only
     # after the update had written its version and child
     sim = Simulation(SimConfig(n_peers=3, seed=6))
@@ -545,10 +556,7 @@ def test_a_peer_outside_the_population_changes_nothing(call, peer):
         sim.step()
     before = copy.deepcopy(walk_state(sim))
     with pytest.raises(IndexError, match=rf"^peer {peer} not in range\(n_peers=3\)$"):
-        if call == "traverse":
-            sim.traverse(peer)
-        else:
-            sim.apply_update(1, 1, peer)
+        sim.apply_update(1, 1, peer)
     assert walk_state(sim) == before
 
 
@@ -588,6 +596,19 @@ def test_step_with_certain_churn_resets_every_chosen_peer(monkeypatch):
     steps = 300
     walkers = [sim.step().peer for _ in range(steps)]
     assert resets == walkers
+
+
+@pytest.mark.parametrize("n_peers, draws, peer", [(100, [120, 5], 5), (1, [1, 0], 0)])
+def test_step_redraws_a_peer_outside_the_population(n_peers, draws, peer):
+    # getrandbits(n_peers.bit_length()) can exceed n_peers - 1, and the
+    # step's redraw is the only guard on the peer's range
+    sim = Simulation(SimConfig(n_peers=n_peers, p_update=0.0))
+    # the peer draws, then child 2; stay, keep the root, keep node 2,
+    # position, no update
+    sim.rng = ScriptedRandom(randoms=[0.5, 0.0, 0.0, 0.5, 0.5], randranges=[*draws, 0])
+    assert sim.step() == (peer, [1, 2], None)
+    assert sim.rng.exhausted()
+    assert sim.peers.preferences_of(peer).items() >= {1: 1, 2: 1}.items()
 
 
 def test_step_chooses_peers_uniformly():

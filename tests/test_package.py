@@ -162,3 +162,18 @@ def test_the_golden_check_finds_every_pinned_run(tmp_path, monkeypatch):
         pinned = workloads.experiment_file(name, workloads.DEFAULT_SEED)["config"]
         assert runs[f"perfbench/{name}"][0].base == SimConfig(**pinned)
         assert runs[f"perfbench/{name}"][1] == workloads.GOLDEN[name]
+
+
+def test_the_opcode_counter_prints_the_same_counts_twice():
+    # tools/opcount.py counts instructions exactly, so two runs, each with
+    # its own hash seed, print the same; both see the step and its walk
+    command = [sys.executable, "-I", str(ROOT / "tools" / "opcount.py")]
+    command += ["--warmup", "200", "--steps", "100", "--lines", "walk"]
+    runs = [subprocess.run(command, capture_output=True, text=True, timeout=60) for _ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(sys.version + "\n")
+        assert " Simulation.step (engine.py:" in done.stdout
+        assert "walk (peers.py:" in done.stdout
+        assert "walk:\n" in done.stdout.split("  per line of ", 1)[1]
+    assert runs[0].stdout == runs[1].stdout
