@@ -118,11 +118,8 @@ def choose_update_index(mean_degree: float, k: int, p: float) -> int:
     choice over all nodes reachable through the path, so bushier paths
     push updates toward the leaves.  As d -> 1 it degenerates to the
     plain uniform floor(p k).  The result is always in {0, ..., k-1}.
-
-    mean_degree 0 is accepted only for k == 1: for k >= 2 the staircase
-    has no steps at d = 0.  A literal walk counts the versions as first
-    viewed, so its degree sum can be 0 over several entries; `step` then
-    takes index 0, the d -> 0+ limit, without calling this.  A NaN or
+    A mean_degree of 0 takes index 0, the d -> 0+ limit; over two or more
+    entries only a literal walk's path sums to degree 0.  A NaN or
     infinite mean_degree is refused.
     """
     if k < 1:
@@ -131,13 +128,11 @@ def choose_update_index(mean_degree: float, k: int, p: float) -> int:
         raise ValueError("p must be in [0, 1)")
     if not 0.0 <= mean_degree < inf:
         raise ValueError(f"mean_degree must be finite and >= 0, got {mean_degree!r}")
-    if k == 1:
+    if k == 1 or mean_degree == 0.0:
         return 0
     if abs(mean_degree - 1.0) < _DEGREE_EPS:
         c = int(p * k)
         return c if c < k else k - 1
-    if mean_degree == 0.0:
-        raise ValueError("mean_degree 0 needs k == 1; for k >= 2 its d -> 0+ limit is index 0")
     log_d = log(mean_degree)
     exponent = k * log_d
     if exponent <= 700.0:  # d**k still representable in a double
@@ -195,9 +190,7 @@ class Simulation:
         viewer counts on a failed quality test.  It leaves the peer's
         preference at each path node on the version it occupied, so the
         update target's version is read from there.  A literal walk's path
-        can be empty, which updates nothing and draws no more, and its
-        degree sum can be 0 over several entries, which takes index 0, the
-        d -> 0+ limit of the staircase."""
+        can be empty, which updates nothing and draws no more."""
         cfg = self.config
         rng = self._rng
         # randrange(n_peers), same draw: the body of Random._randbelow
@@ -211,14 +204,13 @@ class Simulation:
             self.peers.churn_reset(peer)
         self.t += 1
         path, degree = self._walk(peer)
-        if not path:
-            return _tuple_new(TraversalRecord, (peer, path, None))
-        p = random_draw()
-        if random_draw() >= cfg.p_update:
-            return _tuple_new(TraversalRecord, (peer, path, None))
-        k = len(path)
-        target = path[choose_update_index(degree / k, k, p) if degree else 0]
-        self.apply_update(target, self.peers._prefs[peer][target], peer)
+        target = None
+        if path:
+            p = random_draw()
+            if random_draw() < cfg.p_update:
+                k = len(path)
+                target = path[choose_update_index(degree / k, k, p)]
+                self.apply_update(target, self.peers._prefs[peer][target], peer)
         return _tuple_new(TraversalRecord, (peer, path, target))
 
     def apply_update(self, node: int, version: int, peer: int) -> int:

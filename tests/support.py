@@ -102,8 +102,7 @@ def reference_step(sim: Simulation) -> TraversalRecord:
     p = rng.random()
     updated = None
     if rng.random() < cfg.p_update:
-        # a literal walk can sum degree 0 over 2+ entries: index 0, the d -> 0+ limit
-        target = path[choose_update_index(degree / len(path), len(path), p) if degree else 0]
+        target = path[choose_update_index(degree / len(path), len(path), p)]
         sim.apply_update(target.node, target.version, peer)
         updated = target.node
     return TraversalRecord(peer, [v.node for v in path], updated)

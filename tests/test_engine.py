@@ -112,10 +112,13 @@ def test_single_entry_paths_need_no_degree():
     assert choose_update_index(0.0, 1, 0.99) == 0
 
 
-def test_degree_zero_over_several_entries_is_left_to_the_caller():
-    # a literal walk can sum degree 0 over 2+ entries; step takes index 0 itself
-    with pytest.raises(ValueError, match=r"needs k == 1; .* limit is index 0"):
-        choose_update_index(0.0, 2, 0.5)
+def test_degree_zero_takes_the_first_entry():
+    # a literal walk can sum degree 0 over 2+ entries: index 0, the d -> 0+ limit
+    for k in (1, 2, 3, 8, 10**5):
+        for p in (0.0, 0.5, 0.999999):
+            assert choose_update_index(0.0, k, p) == 0
+        for p in (0.0, 0.5, 0.99):
+            assert choose_update_index(1e-300, k, p) == 0
 
 
 def test_monotone_in_p():
@@ -157,13 +160,13 @@ def test_huge_paths_do_not_overflow():
         (2.0, 3, 1.0),
         (2.0, 3, -0.01),
         (-1.0, 3, 0.5),
-        (0.0, 2, 0.5),
         (math.nan, 3, 0.5),
         (math.inf, 3, 0.5),
     ],
 )
 def test_staircase_rejects_bad_parameters(d, k, p):
-    with pytest.raises(ValueError):
+    refusals = r"path length k must be >= 1|p must be in \[0, 1\)|mean_degree must be finite and >= 0"
+    with pytest.raises(ValueError, match=refusals):
         choose_update_index(d, k, p)
 
 
@@ -406,15 +409,10 @@ def test_literal_empty_path_skips_the_update():
 
 
 @pytest.mark.parametrize("step", [Simulation.step, reference_step])
-def test_literal_walk_with_childless_first_views_updates_its_first_entry(monkeypatch, step):
+def test_literal_walk_with_childless_first_views_updates_its_first_entry(step):
     # every version peer 1 first views is childless, but its re-picks land on
     # root v1 and node 2 v2, so two entries stay after the root is dropped,
-    # with a degree sum of 0: the staircase is never consulted
-    def no_staircase(*args):
-        raise AssertionError(f"choose_update_index{args} on a degree sum of 0")
-
-    monkeypatch.setattr(engine, "choose_update_index", no_staircase)
-    monkeypatch.setattr(support, "choose_update_index", no_staircase)
+    # with a degree sum of 0: the staircase takes index 0, the d -> 0+ limit
     sim = Simulation(SimConfig(n_peers=3, p_update=1.0, p_add=1.0, literal_traversal=True))
     store, peers = sim.store, sim.peers
     store.add_version(1, 0.5, (), created_at=0)  # root v2, childless
@@ -431,9 +429,12 @@ def test_literal_walk_with_childless_first_views_updates_its_first_entry(monkeyp
         randoms=[0.5, 0.9, 0.9, 0.0, 0.7, 0.0, 0.5, 0.5, 0.5, 0.5],
         randranges=[1, 0, 0, 2],
     )
-    record = step(sim)
+    with staircase_inputs(engine) as used, staircase_inputs(support) as reference_used:
+        record = step(sim)
+    assert used + reference_used == [(0.0, 2, 0.7)]
+    assert choose_update_index(0.0, 2, 0.7) == 0
     assert record.path == [2, 5]
-    assert record.updated == 2  # index 0, the d -> 0+ limit of the staircase
+    assert record.updated == 2
     # the update copied the links of v2, the version occupied at node 2
     assert store.version(2, 3).children == (5, 6)
     assert peers.preference(1, 2) == 3

@@ -130,17 +130,24 @@ def test_a_one_realization_run_forks_nothing_and_imports_nothing_new():
     assert done.returncode == 0, done.stderr
 
 
-def test_the_golden_check_finds_every_pinned_run(tmp_path, monkeypatch):
-    # tools/check_golden.py reads the configs and digests of test_golden.py
-    # by parsing it, and perfbench's from workloads.py; it must find all eight
-    # runs with the pinned configs and digests.  None of them is run here,
-    # and nothing is written under perfbench/.
+def load_check_golden(monkeypatch):
+    """tools/check_golden.py as a module, with perfbench/ on `sys.path` and
+    no bytecode written under it until the test ends."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spec = importlib.util.spec_from_file_location("check_golden", ROOT / "tools" / "check_golden.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    import test_golden
+    return tool
+
+
+def test_the_golden_check_finds_every_pinned_run(tmp_path, monkeypatch):
+    # tools/check_golden.py imports the configs and digests of tests/golden.py,
+    # and perfbench's from workloads.py; it must find all eight runs with the
+    # pinned configs and digests.  None of them is run here, and nothing is
+    # written under perfbench/.
+    tool = load_check_golden(monkeypatch)
+    import golden
     import workloads
 
     runs = {name: (spec, golden) for name, spec, golden in tool.golden_runs(tmp_path)}
@@ -154,14 +161,49 @@ def test_the_golden_check_finds_every_pinned_run(tmp_path, monkeypatch):
         "tests/n_peers_10",
         "tests/sweep",
     ]
-    assert runs["tests/sweep"] == (test_golden.SWEEP, test_golden.SWEEP_GOLDEN)
-    for name, config in test_golden.CONFIGS.items():
+    assert runs["tests/sweep"] == (golden.SWEEP, golden.SWEEP_GOLDEN)
+    for name, config in golden.CONFIGS.items():
         assert runs[f"tests/{name}"][0].base == config
-        assert runs[f"tests/{name}"][1] == test_golden.GOLDEN[name]
+        assert runs[f"tests/{name}"][1] == golden.GOLDEN[name]
     for name in workloads.WORKLOADS:
         pinned = workloads.experiment_file(name, workloads.DEFAULT_SEED)["config"]
         assert runs[f"perfbench/{name}"][0].base == SimConfig(**pinned)
         assert runs[f"perfbench/{name}"][1] == workloads.GOLDEN[name]
+
+
+def test_the_golden_check_reports_a_digest_that_differs(tmp_path, monkeypatch, capsys):
+    # one tiny run stands in for the golden runs: with one of its two pinned
+    # digests wrong the check names that file and fails; with both right it
+    # passes.  The check chdirs and prepends to sys.path; monkeypatch puts
+    # both back.
+    from poptree.experiment import ExperimentSpec, run_experiment
+
+    monkeypatch.chdir(tmp_path)
+    tool = load_check_golden(monkeypatch)
+    config = SimConfig(t_max=50, realizations=1)
+    run_experiment(ExperimentSpec(base=config, out_dir=tmp_path / "expected"), jobs=1)
+    right = {f: tool.digest(tmp_path / "expected" / f) for f in ("series.csv", "majority.csv")}
+    pinned = {**right, "majority.csv": "0" * 64}
+
+    def tiny_run(out):
+        yield "tiny", ExperimentSpec(base=config, out_dir=out / "tiny"), pinned
+
+    monkeypatch.setattr(tool, "golden_runs", tiny_run)
+    assert tool.check_here() == 1
+    assert capsys.readouterr().out.endswith(" tiny: differs: majority.csv\n")
+    pinned.update(right)
+    assert tool.check_here() == 0
+    assert capsys.readouterr().out.endswith(" tiny: ok\n")
+
+
+def test_the_golden_check_goes_on_past_an_interpreter_it_cannot_start(tmp_path, monkeypatch, capsys):
+    # a missing interpreter is one failure line, not a traceback; no golden
+    # run starts
+    tool = load_check_golden(monkeypatch)
+    missing = tmp_path / "missing" / "python3"
+    assert tool.main([str(missing), str(missing)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{missing}: cannot run: [Errno 2] No such file or directory: '{missing}'"] * 2
 
 
 def test_the_opcode_counter_prints_the_same_counts_twice():

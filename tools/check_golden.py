@@ -2,7 +2,7 @@
 
     python3 tools/check_golden.py [INTERPRETER...]
 
-Runs the four configs and the sweep of tests/test_golden.py and the three
+Runs the four configs and the sweep of tests/golden.py and the three
 workloads of perfbench/workloads.py at their pinned seeds, in one process
 (jobs=1), and compares the SHA-256 of series.csv, majority.csv and
 histograms.json (for the sweep, of every file it writes) with the digests
@@ -10,17 +10,18 @@ pinned in those two files; a missing file, or a file the sweep writes that
 has no digest, differs.  The runs write under a temporary directory,
 which is also the working directory, since the sweep's out_dir is relative.
 With INTERPRETERs it runs itself under each of them in turn; without, it
-checks the interpreter running it.
+checks the interpreter running it.  An interpreter it cannot start prints
+one "<interpreter>: cannot run: <error>" line and counts as a failure; the
+check goes on to the next one.
 
 It needs only the standard library, so it runs under interpreters that have
-no pytest: it takes the configs and digests from tests/test_golden.py
-without importing pytest, and imports poptree from src/.  It edits nothing.
-Prints one line per run and exits 1 if any digest differs.
+no pytest: tests/golden.py imports nothing but dataclasses and poptree, which
+it imports from src/.  It edits nothing.  Prints one line per run and exits 1
+if any digest differs.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import os
 import subprocess
@@ -31,29 +32,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def golden_test_constants() -> dict:
-    """The imports and assignments of tests/test_golden.py, run without the
-    rest of the module: CONFIGS and GOLDEN, among others."""
-    source = ROOT / "tests" / "test_golden.py"
-    module = ast.parse(source.read_text(), str(source))
-    module.body = [node for node in module.body if isinstance(node, (ast.ImportFrom, ast.Assign))]
-    namespace: dict = {}
-    exec(compile(module, str(source), "exec"), namespace)
-    return namespace
-
-
 def golden_runs(out: Path):
     """(name, spec, pinned digests) for every golden run.  Every spec writes
     under `out` but the sweep's, whose out_dir is relative to the working
     directory."""
+    import golden
     from poptree.experiment import ExperimentSpec, spec_from_dict
     from workloads import DEFAULT_SEED, GOLDEN, WORKLOADS, experiment_file
 
-    tests = golden_test_constants()
-    for name, config in tests["CONFIGS"].items():
+    for name, config in golden.CONFIGS.items():
         spec = ExperimentSpec(base=config, out_dir=out / "tests" / name)
-        yield f"tests/{name}", spec, tests["GOLDEN"][name]
-    yield "tests/sweep", tests["SWEEP"], tests["SWEEP_GOLDEN"]
+        yield f"tests/{name}", spec, golden.GOLDEN[name]
+    yield "tests/sweep", golden.SWEEP, golden.SWEEP_GOLDEN
     for name in WORKLOADS:
         data = {**experiment_file(name, DEFAULT_SEED), "out_dir": str(out / "perfbench" / name)}
         yield f"perfbench/{name}", spec_from_dict(data), GOLDEN[name]
@@ -65,7 +55,7 @@ def digest(path: Path) -> str | None:
 
 
 def check_here() -> int:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     from poptree.experiment import run_experiment
 
     version = ".".join(map(str, sys.version_info[:3]))
@@ -93,7 +83,12 @@ def main(interpreters: list[str]) -> int:
         return check_here()
     status = 0
     for interpreter in interpreters:
-        status |= subprocess.run([interpreter, "-I", str(Path(__file__).resolve())]).returncode != 0
+        try:
+            failed = subprocess.run([interpreter, "-I", str(Path(__file__).resolve())]).returncode != 0
+        except OSError as error:  # missing, not executable, not a program
+            print(f"{interpreter}: cannot run: {error}", flush=True)
+            failed = True
+        status |= failed
     return status
 
 
