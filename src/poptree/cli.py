@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
 
 from .engine import SimConfig, check_jobs
 from .experiment import ExperimentSpec, run_experiment, spec_from_dict
@@ -98,9 +97,7 @@ def _parse(argv: list[str] | None) -> tuple[ExperimentSpec, int | None]:
             parser.error(f"cannot load config {args.config}: {exc}")
 
     overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(SimConfig)
-        if getattr(args, f.name) is not None
+        name: getattr(args, name) for name in SimConfig._fields if getattr(args, name) is not None
     }
 
     sweep = spec.sweep
@@ -110,7 +107,7 @@ def _parse(argv: list[str] | None) -> tuple[ExperimentSpec, int | None]:
 
     try:
         spec = ExperimentSpec(
-            base=replace(spec.base, **overrides),
+            base=spec.base._replace(**overrides),
             sweep=sweep,
             out_dir=spec.out_dir if args.out is None else args.out,
             snapshot_interval=args.snapshot_interval

@@ -15,7 +15,6 @@ import hashlib
 import math
 import os
 import random
-from dataclasses import dataclass
 from math import expm1, inf, log, log1p
 from typing import NamedTuple
 
@@ -44,15 +43,7 @@ _FLOAT_FIELDS = ("s", "p_update", "p_add", "p_file", "p_leave")
 _MAX_STEP = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Control parameters for one simulated population.
-
-    The defaults are the control setting: a fixed pool of dedicated peers
-    vigorously updating the tree, new nodes equally likely to be files or
-    directories, no churn.
-    """
-
+class _SimConfigFields(NamedTuple):
     n_peers: int = 100
     s: float = 1.0
     p_update: float = 0.5
@@ -66,7 +57,19 @@ class SimConfig:
     # deviation and the root version never eligible for updates
     literal_traversal: bool = False
 
-    def __post_init__(self):
+
+class SimConfig(_SimConfigFields):
+    """Control parameters for one simulated population.
+
+    The defaults are the control setting: a fixed pool of dedicated peers
+    vigorously updating the tree, new nodes equally likely to be files or
+    directories, no churn.  Every way of building one checks the values.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -93,6 +96,9 @@ class SimConfig:
             raise ValueError(f"t_max must be in [0, 2**31 - 1], got {self.t_max!r}")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
 
 
 class TraversalRecord(NamedTuple):
@@ -157,6 +163,10 @@ class Simulation:
 
     def __init__(self, config: SimConfig, realization: int = 0):
         self.config = config
+        # what step and apply_update read, bound once: a config field read is a call
+        self._n_peers, self._s = config.n_peers, config.s
+        self._p_update, self._p_add = config.p_update, config.p_add
+        self._p_file, self._p_leave = config.p_file, config.p_leave
         self.store = DirectoryStore()
         self.peers = PeerPopulation(config.n_peers, self.store)
         init_control_tree(self.store)
@@ -191,23 +201,22 @@ class Simulation:
         preference at each path node on the version it occupied, so the
         update target's version is read from there.  A literal walk's path
         can be empty, which updates nothing and draws no more."""
-        cfg = self.config
         rng = self._rng
         # randrange(n_peers), same draw: the body of Random._randbelow
-        n = cfg.n_peers
+        n = self._n_peers
         bits = n.bit_length()
         peer = rng.getrandbits(bits)
         while peer >= n:
             peer = rng.getrandbits(bits)
         random_draw = rng.random
-        if random_draw() < cfg.p_leave:
+        if random_draw() < self._p_leave:
             self.peers.churn_reset(peer)
         self.t += 1
         path, degree = self._walk(peer)
         target = None
         if path:
             p = random_draw()
-            if random_draw() < cfg.p_update:
+            if random_draw() < self._p_update:
                 k = len(path)
                 target = path[choose_update_index(degree / k, k, p)]
                 self.apply_update(target, self.peers._prefs[peer][target], peer)
@@ -228,25 +237,24 @@ class Simulation:
         A peer outside the population, like an unknown version, is refused
         before any draw or write.
         """
-        cfg = self.config
-        if not 0 <= peer < cfg.n_peers:
-            raise IndexError(f"peer {peer} not in range(n_peers={cfg.n_peers})")
+        if not 0 <= peer < self._n_peers:
+            raise IndexError(f"peer {peer} not in range(n_peers={self._n_peers})")
         store = self.store
         children = store._children[store.id_of(node, version)]
         if children is None:
             raise ValueError("only directory versions can be updated")
         rng = self._rng
-        quality = sample_quality(cfg.s, rng)
+        quality = sample_quality(self._s, rng)
         new_child = None
-        if rng.random() > cfg.p_add and children:
+        if rng.random() > self._p_add and children:
             if len(children) == 1:
                 children = ()
             else:
                 drop = rng._randbelow(len(children))
                 children = children[:drop] + children[drop + 1 :]
         else:
-            child_is_dir = rng.random() > cfg.p_file
-            new_child = store.add_node(child_is_dir, sample_quality(cfg.s, rng), self.t)
+            child_is_dir = rng.random() > self._p_file
+            new_child = store.add_node(child_is_dir, sample_quality(self._s, rng), self.t)
             children = children + (new_child,)
         fresh = store.add_version(node, quality, children, self.t)
         peers = self.peers

@@ -3,8 +3,8 @@ sweeps, deterministic multi-realization runs, and output writing."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .engine import _INT_FIELDS, ResultBundle, SimConfig, check_jobs, check_snapshot_interval, run
 
@@ -37,35 +37,40 @@ def parse_param_value(param: str, raw: str | float | int):
     raise ValueError(f"sweep value for {param} must be {kind}, got {raw!r}")
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A base configuration, an optional sweep over one of its fields, and
-    where (if anywhere) to write the outputs.  `out_dir` may be given as a
-    non-empty string or any path-like object and is kept as a `Path`."""
-
+class _ExperimentSpecFields(NamedTuple):
     base: SimConfig = SimConfig()
     sweep: tuple[str, tuple[float | int, ...]] | None = None
     out_dir: Path | None = None
     snapshot_interval: int = 1000
     emit_dot: bool = False
 
-    def __post_init__(self):
-        if not isinstance(self.base, SimConfig):
-            raise ValueError(f"base must be a SimConfig, got {self.base!r}")
-        if self.out_dir == "":  # Path("") would be the working directory
+
+class ExperimentSpec(_ExperimentSpecFields):
+    """A base configuration, an optional sweep over one of its fields, and
+    where (if anywhere) to write the outputs.  `out_dir` may be given as a
+    non-empty string or any path-like object and is kept as a `Path`.
+    Every way of building one checks the fields, as `SimConfig` does."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        base, sweep, out_dir, snapshot_interval, emit_dot = super().__new__(cls, *args, **kwargs)
+        if not isinstance(base, SimConfig):
+            raise ValueError(f"base must be a SimConfig, got {base!r}")
+        if out_dir == "":  # Path("") would be the working directory
             raise ValueError("out_dir must not be empty")
-        if self.out_dir is not None:
+        if out_dir is not None:
             try:  # a str or a path-like object
-                object.__setattr__(self, "out_dir", Path(self.out_dir))
+                out_dir = Path(out_dir)
             except TypeError:
-                raise ValueError(f"out_dir must be a string, got {self.out_dir!r}") from None
-        if not isinstance(self.emit_dot, bool):
-            raise ValueError(f"emit_dot must be true or false, got {self.emit_dot!r}")
-        check_snapshot_interval(self.snapshot_interval)
-        if self.sweep is not None:
-            if not isinstance(self.sweep, (list, tuple)) or len(self.sweep) != 2:
-                raise ValueError(f"sweep must be a (param, values) pair, got {self.sweep!r}")
-            param, values = self.sweep
+                raise ValueError(f"out_dir must be a string, got {out_dir!r}") from None
+        if not isinstance(emit_dot, bool):
+            raise ValueError(f"emit_dot must be true or false, got {emit_dot!r}")
+        check_snapshot_interval(snapshot_interval)
+        if sweep is not None:
+            if not isinstance(sweep, (list, tuple)) or len(sweep) != 2:
+                raise ValueError(f"sweep must be a (param, values) pair, got {sweep!r}")
+            param, values = sweep
             if not isinstance(param, str):
                 raise ValueError(f"sweep param must be a string, got {param!r}")
             param = normalize_param(param)
@@ -77,8 +82,12 @@ class ExperimentSpec:
             for i, value in enumerate(values):
                 if value in values[:i]:  # its run would overwrite the first's outputs
                     raise ValueError(f"sweep value {value!r} for {param} is repeated")
-            object.__setattr__(self, "sweep", (param, values))
+            sweep = (param, values)
+        self = super().__new__(cls, base, sweep, out_dir, snapshot_interval, emit_dot)
         self.configs()  # out-of-domain sweep values fail here, up front
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
 
     def configs(self) -> list[tuple[float | int | None, SimConfig]]:
         """The configurations this experiment runs: (sweep value, config)
@@ -86,13 +95,13 @@ class ExperimentSpec:
         if self.sweep is None:
             return [(None, self.base)]
         param, values = self.sweep
-        return [(value, replace(self.base, **{param: value})) for value in values]
+        return [(value, self.base._replace(**{param: value})) for value in values]
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     """JSON-ready form of a spec; parse_config reads the same shape back."""
     return {
-        "config": asdict(spec.base),
+        "config": spec.base._asdict(),
         "sweep": None
         if spec.sweep is None
         else {"param": spec.sweep[0], "values": list(spec.sweep[1])},
@@ -103,7 +112,6 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 _SPEC_KEYS = ("config", "sweep", "out_dir", "snapshot_interval", "emit_dot")
-_CONFIG_KEYS = tuple(f.name for f in fields(SimConfig))
 
 
 def _reject_unknown_keys(what: str, data, known: tuple[str, ...]) -> None:
@@ -127,7 +135,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     TypeError naming it."""
     _reject_unknown_keys("experiment", data, _SPEC_KEYS)
     config = data.get("config", {})
-    _reject_unknown_keys("config", config, _CONFIG_KEYS)
+    _reject_unknown_keys("config", config, SimConfig._fields)
     base = SimConfig(**config)
     sweep_data = data.get("sweep")
     sweep = None

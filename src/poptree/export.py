@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict
 from io import TextIOWrapper
 from itertools import chain
 from pathlib import Path
@@ -48,7 +47,7 @@ def export_dot(tree: MainTree) -> str:
 def histograms_payload(bundle: ResultBundle) -> dict:
     """End-of-run histograms for every realization, with enough metadata
     (resolved config, counting conventions) to reproduce the run."""
-    config = asdict(bundle.config)
+    config = bundle.config._asdict()
     if bundle.sweep_value is not None:
         config["_sweep_value"] = bundle.sweep_value
     return {

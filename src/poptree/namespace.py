@@ -12,8 +12,7 @@ popularity signal that drives default browsing.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 Key = bytes
 PeerId = int
@@ -37,17 +36,24 @@ def node_name(index: int) -> str:
     return f"node-{index}"
 
 
-@dataclass(frozen=True)
-class ValueRecord:
-    """One registered version: a short description plus the content digest
-    identifying that version's payload."""
-
+class _ValueRecordFields(NamedTuple):
     description: str
     content_ref: Key
 
-    def __post_init__(self):
+
+class ValueRecord(_ValueRecordFields):
+    """One registered version: a short description plus the content digest
+    identifying that version's payload, never empty."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.content_ref:
             raise ValueError("content_ref must be non-empty")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
 
 
 class Namespace:

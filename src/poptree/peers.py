@@ -187,15 +187,18 @@ class PeerPopulation:
         self._prefs: list[dict[int, int]] = [{} for _ in range(n_peers)]
 
     def preference(self, peer: int, node: int) -> int | None:
-        return self._prefs[peer].get(node)
+        return self.preferences_of(peer).get(node)
 
     def preferences_of(self, peer: int) -> dict[int, int]:
         """Live node -> version mapping for `peer`; callers must not mutate."""
+        if not 0 <= peer < self.n_peers:  # a negative index would be another peer
+            raise IndexError(f"peer {peer} not in range(n_peers={self.n_peers})")
         return self._prefs[peer]
 
     def set_preference(self, peer: int, node: int, version: int) -> None:
         """Point `peer` at (node, version), moving its viewer count."""
-        prefs = self._prefs[peer]
+        prefs = self.preferences_of(peer)
+        self.store.id_of(node, version)  # an unknown version is refused before any write
         old = prefs.get(node)
         if old == version:
             return
@@ -214,7 +217,7 @@ class PeerPopulation:
         This is the single-node API.  `walker` inlines the same pick, and
         the tests hold it to a walk built on this method.
         """
-        j = self._prefs[peer].get(node)
+        j = self.preferences_of(peer).get(node)
         if j is None:
             j = self.index.popular(node, self.store.version_count(node), rng)
             self.set_preference(peer, node, j)
@@ -230,6 +233,7 @@ class PeerPopulation:
         This is the single-node API.  `walker` inlines the same re-pick,
         and the tests hold it to a walk built on this method.
         """
+        self.preferences_of(peer)  # an unknown peer takes no draw
         n_versions = self.store.version_count(node)
         index = self.index
         counts = index.counts_for(node)
@@ -353,7 +357,10 @@ class PeerPopulation:
         """Replace `peer` with a fresh one: every preference (and so every
         namespace registration) is dropped and each affected viewer count
         decremented."""
-        prefs = self._prefs[peer]
+        try:  # one comparison per churn: a negative peer fails as n_peers does
+            prefs = self._prefs[peer if peer >= 0 else self.n_peers]
+        except IndexError:
+            raise IndexError(f"peer {peer} not in range(n_peers={self.n_peers})") from None
         decrement = self.index.decrement
         for node, version in prefs.items():
             decrement(node, version)

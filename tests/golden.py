@@ -2,10 +2,8 @@
 every file each writes, pinned across changes.
 
 tests/test_golden.py runs them under pytest and tools/check_golden.py under
-any interpreter, so this module imports nothing but dataclasses and poptree.
+any interpreter, so this module imports nothing but poptree.
 """
-
-from dataclasses import replace
 
 from poptree.engine import SimConfig
 from poptree.experiment import ExperimentSpec
@@ -14,9 +12,9 @@ BASE = SimConfig(t_max=20_000, realizations=2, seed=42)
 
 CONFIGS = {
     "control": BASE,
-    "churn": replace(BASE, n_peers=1000, p_leave=0.9),
-    "n_peers_10": replace(BASE, n_peers=10),
-    "literal": replace(BASE, literal_traversal=True),
+    "churn": BASE._replace(n_peers=1000, p_leave=0.9),
+    "n_peers_10": BASE._replace(n_peers=10),
+    "literal": BASE._replace(literal_traversal=True),
 }
 
 GOLDEN = {

@@ -7,7 +7,6 @@ a plain `pytest tests/test_acceptance.py -v` shows them all.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 from scipy.stats import chisquare, kstest
@@ -42,24 +41,24 @@ def control_run():
 
 @pytest.fixture(scope="session")
 def p_update_runs():
-    return {p: run(replace(CONTROL, p_update=p)) for p in (0.1, 0.9)}
+    return {p: run(CONTROL._replace(p_update=p)) for p in (0.1, 0.9)}
 
 
 @pytest.fixture(scope="session")
 def peer_count_runs():
-    return {n: run(replace(CONTROL, n_peers=n)) for n in (10, 1000)}
+    return {n: run(CONTROL._replace(n_peers=n)) for n in (10, 1000)}
 
 
 @pytest.fixture(scope="session")
 def churn_runs():
-    return {p: run(replace(CONTROL, p_leave=p)) for p in (0.1, 0.9)}
+    return {p: run(CONTROL._replace(p_leave=p)) for p in (0.1, 0.9)}
 
 
 @pytest.fixture(scope="session")
 def s_runs(control_run):
     runs = {1.0: control_run}
     for s in (0.25, 0.5, 2.0, 4.0):
-        runs[s] = run(replace(CONTROL, s=s))
+        runs[s] = run(CONTROL._replace(s=s))
     return runs
 
 
@@ -174,7 +173,7 @@ def test_criterion_09_quality_above_mean_for_every_s(s_runs, report):
 
 
 def test_criterion_10_structural_invariants_over_a_control_run(report):
-    sim = Simulation(replace(CONTROL, realizations=1))
+    sim = Simulation(CONTROL._replace(realizations=1))
     invariants = Invariants(sim)
     invariants.check()
     blocks = CONTROL.t_max // 1000
@@ -194,7 +193,7 @@ def test_criterion_10_structural_invariants_over_a_control_run(report):
 
 
 def test_criterion_11_determinism_byte_identical_series(tmp_path, report):
-    config = replace(CONTROL, t_max=10_000, realizations=1)
+    config = CONTROL._replace(t_max=10_000, realizations=1)
     for name in ("a", "b"):
         run_experiment(ExperimentSpec(base=config, out_dir=tmp_path / name))
     first = (tmp_path / "a" / "series.csv").read_bytes()

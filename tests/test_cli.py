@@ -1,7 +1,6 @@
 """Command-line parsing and the end-to-end entry point."""
 
 import json
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -154,14 +153,14 @@ def test_literal_pseudocode_flag():
     assert spec.base.literal_traversal
 
 
-@pytest.mark.parametrize("field", fields(SimConfig), ids=lambda f: f.name)
+@pytest.mark.parametrize("field", SimConfig._fields)
 def test_every_config_field_has_a_flag_that_sets_it_alone(field):
     # the overrides are read by field name, so a field without a flag would
     # fail every parse, not only this one
     parser = cli.build_parser()
-    flags = [action.option_strings[0] for action in parser._actions if action.dest == field.name]
-    assert flags, f"no flag stores into {field.name}"
-    default = field.default
+    flags = [action.option_strings[0] for action in parser._actions if action.dest == field]
+    assert flags, f"no flag stores into {field}"
+    default = SimConfig._field_defaults[field]
     if isinstance(default, bool):
         argv, value = flags, not default
     elif isinstance(default, int):
@@ -169,7 +168,7 @@ def test_every_config_field_has_a_flag_that_sets_it_alone(field):
     else:
         value = default / 2 if default else 0.25
         argv = [flags[0], repr(value)]
-    assert parse_config(argv).base == replace(SimConfig(), **{field.name: value})
+    assert parse_config(argv).base == SimConfig()._replace(**{field: value})
 
 
 def test_main_end_to_end(tmp_path, capsys):

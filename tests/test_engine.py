@@ -11,7 +11,6 @@ import sys
 import time
 import weakref
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -463,7 +462,7 @@ def test_walker_sums_the_degrees_its_variant_counts(literal):
 def test_literal_variant_changes_the_trajectory():
     base = SimConfig(t_max=2000, realizations=1, seed=11)
     default = run_single(base)
-    literal = run_single(replace(base, literal_traversal=True))
+    literal = run_single(base._replace(literal_traversal=True))
     assert default.snapshots[-1] != literal.snapshots[-1]
 
 
@@ -559,6 +558,42 @@ def test_a_peer_outside_the_population_changes_nothing(peer):
     with pytest.raises(IndexError, match=rf"^peer {peer} not in range\(n_peers=3\)$"):
         sim.apply_update(1, 1, peer)
     assert walk_state(sim) == before
+
+
+SINGLE_NODE_CALLS = {
+    "preference": lambda peers, peer, version, rng: peers.preference(peer, 1),
+    "preferences_of": lambda peers, peer, version, rng: peers.preferences_of(peer),
+    "set_preference": lambda peers, peer, version, rng: peers.set_preference(peer, 1, version),
+    "viewing": lambda peers, peer, version, rng: peers.viewing(1, peer, rng),
+    "select": lambda peers, peer, version, rng: peers.select(1, peer, rng),
+    "churn_reset": lambda peers, peer, version, rng: peers.churn_reset(peer),
+}
+
+
+@pytest.mark.parametrize(
+    "call, peer, version",
+    [(call, peer, 1) for call in SINGLE_NODE_CALLS for peer in (-1, -3, 3)]
+    + [("set_preference", 1, version) for version in (0, 99)],
+)
+def test_the_single_node_api_refuses_a_peer_or_version_it_does_not_hold(call, peer, version):
+    # a negative peer used to act on another peer, and version 99 used to be
+    # stored, failing the steps after it with a KeyError
+    sim = Simulation(SimConfig(n_peers=3, seed=6))
+    for _ in range(50):
+        sim.step()
+    invariants = Invariants(sim)
+    invariants.check()
+    before = copy.deepcopy(walk_state(sim))
+    if version == 1:
+        error, message = IndexError, rf"^peer {peer} not in range\(n_peers=3\)$"
+    else:
+        error, message = KeyError, f"^'node 1 has no version {version}'$"
+    with pytest.raises(error, match=message):
+        SINGLE_NODE_CALLS[call](sim.peers, peer, version, sim.rng)
+    assert walk_state(sim) == before  # no write and no draw
+    for _ in range(50):
+        sim.step()
+    invariants.check()
 
 
 def test_update_single_link_delete_empties_the_version():

@@ -4,7 +4,6 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -44,7 +43,7 @@ def test_spec_rejects_out_of_domain_sweep_values():
 
 def test_spec_round_trips_through_dict():
     spec = ExperimentSpec(
-        base=replace(FAST, p_leave=0.2),
+        base=FAST._replace(p_leave=0.2),
         sweep=("p_update", (0.1, 0.9)),
         out_dir=Path("somewhere/out"),
         snapshot_interval=50,
@@ -236,7 +235,7 @@ def test_configs_of_a_sweep():
 
 
 def test_single_realization_average_equals_the_realization():
-    spec = ExperimentSpec(base=replace(FAST, realizations=1), snapshot_interval=100)
+    spec = ExperimentSpec(base=FAST._replace(realizations=1), snapshot_interval=100)
     (bundle,) = run_experiment(spec)
     assert len(bundle.series) == 1
     snaps = bundle.series[0].snapshots
@@ -250,7 +249,7 @@ def test_single_realization_average_equals_the_realization():
 
 def test_sweep_runs_every_point_and_realization():
     # four sweep values at ten realizations each: forty runs, four averages
-    base = replace(FAST, t_max=50, realizations=10)
+    base = FAST._replace(t_max=50, realizations=10)
     spec = ExperimentSpec(
         base=base, sweep=("p_update", (0.1, 0.2, 0.5, 0.9)), snapshot_interval=50
     )
@@ -263,7 +262,7 @@ def test_sweep_runs_every_point_and_realization():
 
 def test_outputs_written_per_sweep_point(tmp_path):
     spec = ExperimentSpec(
-        base=replace(FAST, realizations=1),
+        base=FAST._replace(realizations=1),
         sweep=("p_update", (0.1, 0.9)),
         out_dir=tmp_path,
         snapshot_interval=100,
@@ -291,7 +290,7 @@ def test_a_sweep_writes_config_json_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", spy)
     spec = ExperimentSpec(
-        base=replace(FAST, realizations=1),
+        base=FAST._replace(realizations=1),
         sweep=("p_update", (0.1, 0.9)),
         out_dir=tmp_path,
         snapshot_interval=100,
@@ -336,7 +335,7 @@ def test_reruns_are_byte_identical(tmp_path):
 
 def test_a_failed_sweep_point_keeps_the_points_before_it(tmp_path, monkeypatch):
     spec = ExperimentSpec(
-        base=replace(FAST, realizations=1),
+        base=FAST._replace(realizations=1),
         sweep=("p_update", (0.1, 0.5, 0.9)),
         out_dir=tmp_path / "sweep",
         snapshot_interval=100,
@@ -361,7 +360,7 @@ def test_a_failed_sweep_point_keeps_the_points_before_it(tmp_path, monkeypatch):
     ]
     # the kept point is whole: the same bytes as running that point alone
     alone = ExperimentSpec(
-        base=replace(FAST, realizations=1, p_update=0.1),
+        base=FAST._replace(realizations=1, p_update=0.1),
         out_dir=tmp_path / "alone",
         snapshot_interval=100,
     )
@@ -412,7 +411,7 @@ def test_jobs_are_not_recorded_in_config_json(tmp_path):
 
 def test_export_dot_initial_tree(tmp_path):
     spec = ExperimentSpec(
-        base=replace(FAST, t_max=0, realizations=1),
+        base=FAST._replace(t_max=0, realizations=1),
         out_dir=tmp_path,
         emit_dot=True,
     )
@@ -429,7 +428,7 @@ def test_only_realization_0_keeps_its_final_tree(tmp_path, monkeypatch, jobs):
     # the DOT file draws realization 0's tree, so no other realization keeps
     # one; the digest is the file this run wrote when every realization did
     monkeypatch.setattr(engine, "available_cpus", lambda: 2)  # so jobs=2 forks
-    spec = ExperimentSpec(base=replace(FAST, t_max=2000), out_dir=tmp_path, emit_dot=True)
+    spec = ExperimentSpec(base=FAST._replace(t_max=2000), out_dir=tmp_path, emit_dot=True)
     (bundle,) = run_experiment(spec, jobs=jobs)
     assert bundle.series[0].final_main_tree is not None
     assert bundle.series[1].final_main_tree is None

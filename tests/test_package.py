@@ -1,7 +1,10 @@
 """The package's public surface and the benchmark worker built on it."""
 
+import copy
 import importlib.util
 import json
+import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,8 @@ import pytest
 
 import poptree
 from poptree.engine import SimConfig
+from poptree.experiment import ExperimentSpec
+from poptree.namespace import ValueRecord, digest
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKER = ROOT / "perfbench" / "worker.py"
@@ -128,6 +133,124 @@ def test_a_one_realization_run_forks_nothing_and_imports_nothing_new():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_set_up_imports_neither_dataclasses_nor_inspect():
+    # every record is a NamedTuple, so importing the package and parsing a
+    # command line leave out dataclasses and what it pulls in
+    script = (
+        "import sys\n"
+        "import poptree, poptree.cli, poptree.namespace\n"
+        "poptree.cli.parse_config(['--steps', '50', '--sweep', 'p_update', '0.1,0.9'])\n"
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    src = Path(poptree.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(src)!r})\n{script}"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+# (record type, good field values, what they build to, a field, a bad value
+# for it, the error that value raises)
+RECORDS = [
+    (
+        SimConfig,
+        {**SimConfig._field_defaults, "n_peers": 7, "s": 2},
+        (7, 2, 0.5, 0.75, 0.5, 0.0, 100_000, 42, 10, False),
+        "n_peers",
+        0,
+        ValueError("n_peers must be >= 1"),
+    ),
+    (
+        SimConfig,
+        SimConfig._field_defaults,
+        tuple(SimConfig._field_defaults.values()),
+        "s",
+        True,
+        TypeError("s must be a number, got True"),
+    ),
+    (
+        ExperimentSpec,
+        {
+            "base": SimConfig(t_max=10),
+            "sweep": ["steps", ["5", 7]],
+            "out_dir": "results",
+            "snapshot_interval": 5,
+            "emit_dot": True,
+        },
+        (SimConfig(t_max=10), ("t_max", (5, 7)), Path("results"), 5, True),
+        "out_dir",
+        "",
+        ValueError("out_dir must not be empty"),
+    ),
+    (
+        ExperimentSpec,
+        {"base": SimConfig(), "sweep": None, "out_dir": None, "snapshot_interval": 1, "emit_dot": False},
+        (SimConfig(), None, None, 1, False),
+        "sweep",
+        ("p_update", (0.5, 2.0)),
+        ValueError("p_update must be in [0, 1]"),
+    ),
+    (
+        ValueRecord,
+        {"description": "node-1 v1", "content_ref": digest("node-1/v1")},
+        ("node-1 v1", digest("node-1/v1")),
+        "content_ref",
+        b"",
+        ValueError("content_ref must be non-empty"),
+    ),
+]
+
+PATHS = ["positional", "keyword", "_make", "_replace", "pickle", "copy.replace"]
+
+
+def build(path, cls, good, values):
+    """A `cls` with field values `values` built through `path`, which for
+    `_replace` and `copy.replace` starts from the record of `good`.  A
+    pickle round trip pickles `values` unchecked."""
+    if path == "positional":
+        return cls(*values.values())
+    if path == "keyword":
+        return cls(**values)
+    if path == "_make":
+        return cls._make(values.values())
+    if path == "_replace":
+        return cls(**good)._replace(**values)
+    if path == "pickle":
+        return pickle.loads(pickle.dumps(tuple.__new__(cls, values.values())))
+    if sys.version_info < (3, 13):
+        pytest.skip("copy.replace needs Python 3.13")
+    return copy.replace(cls(**good), **values)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize(
+    "cls, good, built, field, bad, error",
+    RECORDS,
+    ids=[f"{cls.__name__}-{field}" for cls, _, _, field, _, _ in RECORDS],
+)
+def test_every_way_of_building_a_record_checks_it(path, cls, good, built, field, bad, error):
+    record = build(path, cls, good, good)
+    assert type(record) is cls
+    assert record == built and record == cls(**good)
+    with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+        build(path, cls, good, {**good, field: bad})
+
+
+@pytest.mark.parametrize(
+    "record", [SimConfig(), ExperimentSpec(), ValueRecord("v1", b"1")], ids=lambda r: type(r).__name__
+)
+def test_a_record_cannot_be_changed(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.foo = 1
 
 
 def load_check_golden(monkeypatch):

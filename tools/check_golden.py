@@ -15,8 +15,8 @@ one "<interpreter>: cannot run: <error>" line and counts as a failure; the
 check goes on to the next one.
 
 It needs only the standard library, so it runs under interpreters that have
-no pytest: tests/golden.py imports nothing but dataclasses and poptree, which
-it imports from src/.  It edits nothing.  Prints one line per run and exits 1
+no pytest: tests/golden.py imports nothing but poptree, which it imports
+from src/.  It edits nothing.  Prints one line per run and exits 1
 if any digest differs.
 """
 
