@@ -59,13 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_job_count,
         help="processes that run a config's realizations (default: the available CPUs)",
     )
-    parser.add_argument(
-        "--literal-pseudocode",
-        dest="literal_traversal",
-        action="store_true",
-        default=None,
-        help="use the pseudocode-faithful walk variant (root never updated)",
-    )
     return parser
 
 
@@ -96,9 +89,9 @@ def _parse(argv: list[str] | None) -> tuple[ExperimentSpec, int | None]:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             parser.error(f"cannot load config {args.config}: {exc}")
 
-    overrides = {
-        name: getattr(args, name) for name in SimConfig._fields if getattr(args, name) is not None
-    }
+    # a field with no flag keeps the loaded value
+    flagged = {name: getattr(args, name, None) for name in SimConfig._fields}
+    overrides = {name: value for name, value in flagged.items() if value is not None}
 
     sweep = spec.sweep
     if args.sweep is not None:

@@ -53,8 +53,7 @@ class _SimConfigFields(NamedTuple):
     t_max: int = 100_000
     seed: int = 42
     realizations: int = 10
-    # keep the walk exactly as pseudocoded: degrees counted before any
-    # deviation and the root version never eligible for updates
+    # only False: the literal walk is gone, but configs and outputs keep the key
     literal_traversal: bool = False
 
 
@@ -84,6 +83,11 @@ class SimConfig(_SimConfigFields):
             raise TypeError(
                 f"literal_traversal must be a bool, got {self.literal_traversal!r}"
             )
+        if self.literal_traversal:
+            raise ValueError(
+                "literal_traversal must be false: the literal walk was removed"
+                " (see the README's 'Sensitivity to the walk variant')"
+            )
         if self.n_peers < 1:
             raise ValueError("n_peers must be >= 1")
         if self.s <= 0:
@@ -99,12 +103,13 @@ class SimConfig(_SimConfigFields):
         return self
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
+    _SimConfigFields.__new__.__qualname__ = "SimConfig.__new__"  # errors name the record
 
 
 class TraversalRecord(NamedTuple):
-    """What one walk did: the directory nodes it occupied (root first in
-    the default walk) and the node updated, if any.  The peer's preference
-    at each path node is the version it occupied."""
+    """What one walk did: the directory nodes it occupied (root first)
+    and the node updated, if any.  The peer's preference at each path
+    node is the version it occupied."""
 
     peer: int
     path: list[int]
@@ -124,9 +129,9 @@ def choose_update_index(mean_degree: float, k: int, p: float) -> int:
     choice over all nodes reachable through the path, so bushier paths
     push updates toward the leaves.  As d -> 1 it degenerates to the
     plain uniform floor(p k).  The result is always in {0, ..., k-1}.
-    A mean_degree of 0 takes index 0, the d -> 0+ limit; over two or more
-    entries only a literal walk's path sums to degree 0.  A NaN or
-    infinite mean_degree is refused.
+    A mean_degree of 0 takes index 0, the d -> 0+ limit, though a walk's
+    path of k >= 2 entries sums to at least k - 1.  A NaN or infinite
+    mean_degree is refused.
     """
     if k < 1:
         raise ValueError("path length k must be >= 1")
@@ -162,7 +167,7 @@ class Simulation:
     """
 
     def __init__(self, config: SimConfig, realization: int = 0):
-        self.config = config
+        self._config = config
         # what step and apply_update read, bound once: a config field read is a call
         self._n_peers, self._s = config.n_peers, config.s
         self._p_update, self._p_add = config.p_update, config.p_add
@@ -176,6 +181,12 @@ class Simulation:
         self.rng = random.Random(derive_seed(config.seed, f"realization-{realization}"))
 
     @property
+    def config(self) -> SimConfig:
+        """The config the simulation was made with.  It cannot be assigned:
+        the step reads the values bound from it then."""
+        return self._config
+
+    @property
     def rng(self) -> random.Random:
         """The realization's RNG; every draw of a step comes from it."""
         return self._rng
@@ -183,7 +194,7 @@ class Simulation:
     @rng.setter
     def rng(self, rng: random.Random) -> None:
         self._rng = rng
-        self._walk = self.peers.walker(rng, self.config.literal_traversal)
+        self._walk = self.peers.walker(rng)
 
     @property
     def index(self):
@@ -199,8 +210,7 @@ class Simulation:
         pick among the most viewed versions), and re-picks in proportion to
         viewer counts on a failed quality test.  It leaves the peer's
         preference at each path node on the version it occupied, so the
-        update target's version is read from there.  A literal walk's path
-        can be empty, which updates nothing and draws no more."""
+        update target's version is read from there."""
         rng = self._rng
         # randrange(n_peers), same draw: the body of Random._randbelow
         n = self._n_peers
@@ -214,12 +224,11 @@ class Simulation:
         self.t += 1
         path, degree = self._walk(peer)
         target = None
-        if path:
-            p = random_draw()
-            if random_draw() < self._p_update:
-                k = len(path)
-                target = path[choose_update_index(degree / k, k, p)]
-                self.apply_update(target, self.peers._prefs[peer][target], peer)
+        p = random_draw()
+        if random_draw() < self._p_update:
+            k = len(path)
+            target = path[choose_update_index(degree / k, k, p)]
+            self.apply_update(target, self.peers._prefs[peer][target], peer)
         return _tuple_new(TraversalRecord, (peer, path, target))
 
     def apply_update(self, node: int, version: int, peer: int) -> int:

@@ -88,6 +88,7 @@ class ExperimentSpec(_ExperimentSpecFields):
         return self
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
+    _ExperimentSpecFields.__new__.__qualname__ = "ExperimentSpec.__new__"  # errors name the record
 
     def configs(self) -> list[tuple[float | int | None, SimConfig]]:
         """The configurations this experiment runs: (sweep value, config)

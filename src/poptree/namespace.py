@@ -54,6 +54,7 @@ class ValueRecord(_ValueRecordFields):
         return self
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so `_replace` checks too
+    _ValueRecordFields.__new__.__qualname__ = "ValueRecord.__new__"  # errors name the record
 
 
 class Namespace:

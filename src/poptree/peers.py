@@ -251,22 +251,16 @@ class PeerPopulation:
         self.set_preference(peer, node, j)
         return self.store.version(node, j)
 
-    def walker(self, rng: random.Random, literal: bool):
-        """The walk with `rng` and `literal` bound: `walk(peer)` walks from
-        the root to a leaf as `peer` and returns the directory nodes
-        occupied, the root included, and the sum of the out-degrees of the
-        versions finally occupied there.  No node appears twice, and the
-        peer's preference at each path node is the version it occupied.  At
-        each node the peer views as `viewing` does, takes the quality test
-        with one `rng.random()` draw and, on failure, re-picks as `select`
-        does, with the same draws and index writes; it then moves to a
-        uniformly picked child.
-
-        With `literal` the path leaves out the root, and the degree sum
-        counts every version as first viewed, the root's included: a
-        re-pick that changes a node's version, always from one directory
-        version to another, adds the out-degree left and subtracts the one
-        taken.  The draws are the same.
+    def walker(self, rng: random.Random):
+        """The walk with `rng` bound: `walk(peer)` walks from the root to a
+        leaf as `peer` and returns the directory nodes occupied, the root
+        included, and the sum of the out-degrees of the versions finally
+        occupied there.  No node appears twice, and the peer's preference at
+        each path node is the version it occupied.  At each node the peer
+        views as `viewing` does, takes the quality test with one
+        `rng.random()` draw and, on failure, re-picks as `select` does, with
+        the same draws and index writes; it then moves to a uniformly picked
+        child.
 
         The RNG's methods, the store's columns and the index's lists and
         methods are bound once.  Each is only changed in place, so the walk
@@ -327,10 +321,7 @@ class PeerPopulation:
                             prefs[node] = k
                             increment(node, k)
                             decrement(node, j)
-                            h = first[node] if k == 1 else later[node][k - 2]
-                            if literal:  # count the version first viewed
-                                degree += len(children_of[g]) - len(children_of[h])
-                            g = h
+                            g = first[node] if k == 1 else later[node][k - 2]
                 children = children_of[g]
                 if children is None:  # a file
                     break
@@ -347,8 +338,6 @@ class PeerPopulation:
                     node = children[0]
                 else:
                     break
-            if literal:
-                del path[0]
             return path, degree
 
         return walk

@@ -1,4 +1,4 @@
-"""The golden runs: four configs and a two-point sweep, with the SHA-256 of
+"""The golden runs: three configs and a two-point sweep, with the SHA-256 of
 every file each writes, pinned across changes.
 
 tests/test_golden.py runs them under pytest and tools/check_golden.py under
@@ -14,7 +14,6 @@ CONFIGS = {
     "control": BASE,
     "churn": BASE._replace(n_peers=1000, p_leave=0.9),
     "n_peers_10": BASE._replace(n_peers=10),
-    "literal": BASE._replace(literal_traversal=True),
 }
 
 GOLDEN = {
@@ -32,11 +31,6 @@ GOLDEN = {
         "series.csv": "41ef56e3e514f17fe79fbdfbd5e764df431bec79067a54b47dd922d941660569",
         "majority.csv": "0d3f106a1aadac385ab07f77676a0a93c5fa76b9b491c0f39adbb77ce8810dad",
         "histograms.json": "99ac50e331f226c63221900f5945ba488ff6af232e8409aedff862e66fbc4aca",
-    },
-    "literal": {
-        "series.csv": "2041456060d13b49a43996128c44564b130e742c0f03d251470d6e6a73c989ff",
-        "majority.csv": "593f681150cf210de64b2c61a02e81e4bd6576cb906ad19a9601d59b9c2095b6",
-        "histograms.json": "e2a9c519799d0c6c0af895f36ac473d1c5c5483a0dc9d008275fe6e1985591f2",
     },
 }
 

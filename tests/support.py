@@ -70,16 +70,7 @@ def reference_step(sim: Simulation) -> TraversalRecord:
     if rng.random() < cfg.p_leave:
         peers.churn_reset(peer)
     sim.t += 1
-    literal = cfg.literal_traversal
-    viewed_degree = 0
-
-    def viewing(node):
-        nonlocal viewed_degree
-        version = peers.viewing(node, peer, rng)
-        viewed_degree += len(version.children)
-        return version
-
-    current = viewing(1)
+    current = peers.viewing(1, peer, rng)
     if rng.random() >= current.quality:
         current = peers.select(1, peer, rng)
     path = [current]
@@ -87,18 +78,13 @@ def reference_step(sim: Simulation) -> TraversalRecord:
     while current.is_dir and current.children:
         children = current.children
         child = children[rng._randbelow(len(children))] if len(children) > 1 else children[0]
-        current = viewing(child)
+        current = peers.viewing(child, peer, rng)
         if rng.random() >= current.quality:
             current = peers.select(child, peer, rng)
         if current.is_dir:
             path.append(current)
             degree += len(current.children)
 
-    if literal:
-        del path[0]
-        if not path:
-            return TraversalRecord(peer, [], None)
-        degree = viewed_degree
     p = rng.random()
     updated = None
     if rng.random() < cfg.p_update:

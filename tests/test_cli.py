@@ -148,22 +148,42 @@ def test_jobs_flag_reaches_run_experiment_but_not_the_spec(monkeypatch):
     assert seen == [(parse_config(["--steps", "10"]), 3), (parse_config(["--steps", "10"]), None)]
 
 
-def test_literal_pseudocode_flag():
-    spec = parse_config(["--literal-pseudocode"])
-    assert spec.base.literal_traversal
+def test_literal_pseudocode_flag(capsys):
+    # the literal walk is gone, and its flag with it
+    with pytest.raises(SystemExit) as excinfo:
+        parse_config(["--literal-pseudocode"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --literal-pseudocode" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", SimConfig._fields)
+def test_a_config_file_asking_for_the_literal_walk_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({"config": {"literal_traversal": True}}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--config", str(config)])
+    assert excinfo.value.code == 2
+    assert (
+        f"cannot load config {config}: literal_traversal must be false: the literal walk was removed"
+        in capsys.readouterr().err
+    )
+
+
+FLAGGED_FIELDS = [field for field in SimConfig._fields if field != "literal_traversal"]
+
+
+def test_only_literal_traversal_has_no_flag():
+    # it accepts only its default, so no flag can set it
+    dests = {action.dest for action in cli.build_parser()._actions}
+    assert [field for field in SimConfig._fields if field not in dests] == ["literal_traversal"]
+
+
+@pytest.mark.parametrize("field", FLAGGED_FIELDS)
 def test_every_config_field_has_a_flag_that_sets_it_alone(field):
-    # the overrides are read by field name, so a field without a flag would
-    # fail every parse, not only this one
     parser = cli.build_parser()
     flags = [action.option_strings[0] for action in parser._actions if action.dest == field]
     assert flags, f"no flag stores into {field}"
     default = SimConfig._field_defaults[field]
-    if isinstance(default, bool):
-        argv, value = flags, not default
-    elif isinstance(default, int):
+    if isinstance(default, int):
         argv, value = [flags[0], str(default + 1)], default + 1
     else:
         value = default / 2 if default else 0.25

@@ -112,7 +112,7 @@ def test_single_entry_paths_need_no_degree():
 
 
 def test_degree_zero_takes_the_first_entry():
-    # a literal walk can sum degree 0 over 2+ entries: index 0, the d -> 0+ limit
+    # index 0 at every k, the d -> 0+ limit, though a walk's k >= 2 entries sum to >= k - 1
     for k in (1, 2, 3, 8, 10**5):
         for p in (0.0, 0.5, 0.999999):
             assert choose_update_index(0.0, k, p) == 0
@@ -251,6 +251,19 @@ def test_config_accepts_ints_for_float_fields():
     assert SimConfig(s=2, p_leave=0).s == 2
 
 
+def test_the_config_of_a_simulation_cannot_be_assigned():
+    # step reads the values bound when the simulation was made, so a new
+    # config assigned later would be silently ignored
+    config = SimConfig(n_peers=10, seed=3)
+    sim, twin = Simulation(config), Simulation(config)
+    with pytest.raises(AttributeError):
+        sim.config = config._replace(p_update=0.0)
+    assert sim.config is config
+    for _ in range(50):
+        assert sim.step() == twin.step()
+    assert walk_state(sim) == walk_state(twin)
+
+
 def test_derive_seed_is_stable_and_stream_dependent():
     assert derive_seed(42, "realization-0") == derive_seed(42, "realization-0")
     assert derive_seed(42, "realization-0") != derive_seed(42, "realization-1")
@@ -374,96 +387,29 @@ def test_traverse_record_invariants_over_a_run(monkeypatch):
             assert node == record.updated
             occupied[node] = version
         path = records(sim.store, occupied, record.path)
-        assert path, "default walk always includes the root"
+        assert path, "the walk always includes the root"
         assert all(v.is_dir for v in path)
         degree_sum = sum(len(v.children) for v in path)
+        assert degree_sum >= len(path) - 1  # every entry but the last links the next
         assert walked.pop() == (record.path, degree_sum)
         assert path[0].node == 1
 
 
-# --- literal pseudocode variant ----------------------------------------------
-
-
-def test_literal_trace_excludes_root_from_path():
-    sim = Simulation(SimConfig(literal_traversal=True))
-    sim.rng = ScriptedRandom(randoms=[0.5, 0.3, 0.4, 0.0, 0.9], randranges=[0, 1])
-    walked = spy_walk(sim)
-    record = sim.step()
-    assert path_of(sim, record) == [(3, 1)]
-    assert walked == [([3], 3)]  # the root's degree still counts
-    assert sim.rng.exhausted()
-
-
-def test_literal_empty_path_skips_the_update():
-    sim = Simulation(SimConfig(literal_traversal=True))
-    sim.store.add_version(1, 0.9, (), created_at=0)
-    sim.peers.set_preference(5, 1, 2)
-    # peer 5; stay, then only the root quality test
-    sim.rng = ScriptedRandom(randoms=[0.5, 0.3], randranges=[5])
-    walked = spy_walk(sim)
-    record = sim.step()
-    assert walked == [([], 0)]
-    assert record == (5, [], None)
-    assert sim.rng.exhausted()
-
-
-@pytest.mark.parametrize("step", [Simulation.step, reference_step])
-def test_literal_walk_with_childless_first_views_updates_its_first_entry(step):
-    # every version peer 1 first views is childless, but its re-picks land on
-    # root v1 and node 2 v2, so two entries stay after the root is dropped,
-    # with a degree sum of 0: the staircase takes index 0, the d -> 0+ limit
-    sim = Simulation(SimConfig(n_peers=3, p_update=1.0, p_add=1.0, literal_traversal=True))
-    store, peers = sim.store, sim.peers
-    store.add_version(1, 0.5, (), created_at=0)  # root v2, childless
-    store.add_node(True, 0.5, created_at=0)  # node 5
-    store.add_version(2, 0.5, (5,), created_at=0)  # node 2 v2 links node 5
-    for node, version in ((1, 2), (2, 1), (5, 1)):
-        peers.set_preference(1, node, version)
-    peers.set_preference(2, 2, 2)
-    # peer 1, stay; root: fail, re-pick v1 (peer 0's), child 2; node 2:
-    # fail, re-pick v2 (peer 2's), its single child 5; node 5: keep.  Then
-    # the position draw, the update draw and the update's quality, add, kind
-    # and child quality.
-    sim.rng = ScriptedRandom(
-        randoms=[0.5, 0.9, 0.9, 0.0, 0.7, 0.0, 0.5, 0.5, 0.5, 0.5],
-        randranges=[1, 0, 0, 2],
-    )
-    with staircase_inputs(engine) as used, staircase_inputs(support) as reference_used:
-        record = step(sim)
-    assert used + reference_used == [(0.0, 2, 0.7)]
-    assert choose_update_index(0.0, 2, 0.7) == 0
-    assert record.path == [2, 5]
-    assert record.updated == 2
-    # the update copied the links of v2, the version occupied at node 2
-    assert store.version(2, 3).children == (5, 6)
-    assert peers.preference(1, 2) == 3
-    assert sim.rng.exhausted()
-
-
-@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
-def test_walker_sums_the_degrees_its_variant_counts(literal):
+def test_walker_sums_the_degrees_of_the_versions_occupied():
     # peer 1 first views root v2 (one link), fails its quality test and
     # re-picks root v1 (three links), moves to node 3 and keeps it.  The
-    # default walk sums the versions occupied, 3 + 0; the literal one drops
-    # the root from its path and sums the versions first viewed, 1 + 0.
+    # walk sums the versions occupied, 3 + 0, not those first viewed.
     sim = Simulation(SimConfig(n_peers=3))
     sim.store.add_version(1, 0.5, (2,), created_at=0)
     sim.peers.set_preference(1, 1, 2)
     # getrandbits(2) draws: the re-pick (0 of the root's 2 viewers: peer
     # 0's v1), then the child (1 of 3: node 3)
     rng = ScriptedRandom(randoms=[0.9, 0.0], randranges=[0, 1])
-    walk = sim.peers.walker(rng, literal)
-    assert walk(1) == (([3], 1) if literal else ([1, 3], 3))
+    walk = sim.peers.walker(rng)
+    assert walk(1) == ([1, 3], 3)
     assert rng.exhausted()
     assert sim.peers.preferences_of(1) == {1: 1, 3: 1}
     assert sim.index.counts_for(1) == {1: 2}
-
-
-def test_literal_variant_changes_the_trajectory():
-    base = SimConfig(t_max=2000, realizations=1, seed=11)
-    default = run_single(base)
-    literal = run_single(base._replace(literal_traversal=True))
-    assert default.snapshots[-1] != literal.snapshots[-1]
 
 
 # --- updates ------------------------------------------------------------------
@@ -755,10 +701,9 @@ def test_run_single_leaves_the_collector_alone(monkeypatch, collecting):
     "config",
     [
         SimConfig(n_peers=20, t_max=3000, realizations=1),
-        SimConfig(n_peers=20, t_max=3000, realizations=1, literal_traversal=True),
         SimConfig(n_peers=200, t_max=3000, realizations=1, p_leave=0.9),
     ],
-    ids=["default", "literal", "churn"],
+    ids=["default", "churn"],
 )
 def test_a_realization_leaves_no_cyclic_garbage(config):
     # a reference cycle would cost collector time on every run; with the
@@ -769,8 +714,7 @@ def test_a_realization_leaves_no_cyclic_garbage(config):
         assert gc.collect() == 0
 
 
-@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
-def test_every_update_adds_one_version_and_marks_its_record(monkeypatch, literal):
+def test_every_update_adds_one_version_and_marks_its_record(monkeypatch):
     # nothing counts updates; the store's version surplus over its nodes is that count
     calls = []
     original = Simulation.apply_update
@@ -780,7 +724,7 @@ def test_every_update_adds_one_version_and_marks_its_record(monkeypatch, literal
         return original(sim, node, version, peer)
 
     monkeypatch.setattr(Simulation, "apply_update", apply_update)
-    sim = Simulation(SimConfig(n_peers=30, p_leave=0.3, literal_traversal=literal, seed=11))
+    sim = Simulation(SimConfig(n_peers=30, p_leave=0.3, seed=11))
     updated = [record.updated for record in (sim.step() for _ in range(3000))]
     assert len(calls) > 1000
     assert len(calls) == sim.store.total_versions - sim.store.node_count
@@ -871,20 +815,11 @@ def test_randbelow_draws_what_randrange_draws(seed):
     n_peers=st.integers(1, 6),
     p_leave=st.sampled_from([0.0, 0.5, 1.0]),
     p_update=st.floats(0.0, 1.0),
-    literal=st.booleans(),
     seed=st.integers(0, 2**32),
     steps=st.integers(1, 200),
 )
-def test_index_stays_consistent_over_engine_steps(n_peers, p_leave, p_update, literal, seed, steps):
-    sim = Simulation(
-        SimConfig(
-            n_peers=n_peers,
-            p_leave=p_leave,
-            p_update=p_update,
-            literal_traversal=literal,
-            seed=seed,
-        )
-    )
+def test_index_stays_consistent_over_engine_steps(n_peers, p_leave, p_update, seed, steps):
+    sim = Simulation(SimConfig(n_peers=n_peers, p_leave=p_leave, p_update=p_update, seed=seed))
     invariants = Invariants(sim)
     invariants.check()
     for _ in range(steps):
@@ -906,14 +841,11 @@ def test_a_run_at_a_vanishing_quality_shape_completes():
     p_add=st.sampled_from([0.0, 1.0]),
     p_file=st.sampled_from([0.0, 1.0]),
     p_leave=st.sampled_from([0.0, 1.0]),
-    literal=st.booleans(),
     seed=st.integers(0, 2**32),
 )
-@example(
-    n_peers=1, s=1e-300, p_update=1.0, p_add=1.0, p_file=0.0, p_leave=0.0, literal=False, seed=0
-)
+@example(n_peers=1, s=1e-300, p_update=1.0, p_add=1.0, p_file=0.0, p_leave=0.0, seed=0)
 def test_extreme_configs_run_and_keep_their_invariants(
-    n_peers, s, p_update, p_add, p_file, p_leave, literal, seed
+    n_peers, s, p_update, p_add, p_file, p_leave, seed
 ):
     sim = Simulation(
         SimConfig(
@@ -923,7 +855,6 @@ def test_extreme_configs_run_and_keep_their_invariants(
             p_add=p_add,
             p_file=p_file,
             p_leave=p_leave,
-            literal_traversal=literal,
             seed=seed,
         )
     )
@@ -1011,24 +942,20 @@ def walk_state(sim):
     n_peers=st.integers(1, 6),
     p_leave=st.sampled_from([0.0, 0.5, 1.0]),
     p_update=st.floats(0.0, 1.0),
-    literal=st.booleans(),
     seed=st.integers(0, 2**32),
     steps=st.integers(1, 200),
 )
-def test_fused_walk_matches_the_reference_walk(n_peers, p_leave, p_update, literal, seed, steps):
+def test_fused_walk_matches_the_reference_walk(n_peers, p_leave, p_update, seed, steps):
     # PeerPopulation.walker's walk against the walk built on viewing/select
-    config = SimConfig(
-        n_peers=n_peers, p_leave=p_leave, p_update=p_update, literal_traversal=literal, seed=seed
-    )
+    config = SimConfig(n_peers=n_peers, p_leave=p_leave, p_update=p_update, seed=seed)
     assert_steps_match_the_reference(config, steps)
 
 
-@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal"])
-def test_assigning_rng_reroutes_every_draw_of_a_step(literal):
+def test_assigning_rng_reroutes_every_draw_of_a_step():
     # the walk is bound to the RNG when one is assigned: every draw of a step
     # (the peer, churn, the walk, the update position and decision, the
     # update itself) must then come from the new RNG, none from the old
-    config = SimConfig(n_peers=10, p_leave=0.3, literal_traversal=literal, seed=5)
+    config = SimConfig(n_peers=10, p_leave=0.3, seed=5)
     sim, reference = Simulation(config), Simulation(config)
     replaced = sim.rng
     untouched = replaced.getstate()

@@ -67,6 +67,15 @@ def test_spec_from_dict_names_unknown_keys(data, key):
         spec_from_dict(data)
 
 
+def test_spec_from_dict_loads_a_config_json_but_refuses_the_literal_walk():
+    data = spec_to_dict(ExperimentSpec(base=FAST))
+    assert data["config"]["literal_traversal"] is False  # every config.json holds the key
+    assert spec_from_dict(data) == ExperimentSpec(base=FAST)
+    data["config"]["literal_traversal"] = True
+    with pytest.raises(ValueError, match="^literal_traversal must be false: the literal walk was removed"):
+        spec_from_dict(data)
+
+
 @pytest.mark.parametrize("values", ["10,20", "3", 10])
 def test_spec_from_dict_rejects_sweep_values_that_are_not_a_list(values):
     data = {"sweep": {"param": "n_peers", "values": values}}

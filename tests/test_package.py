@@ -175,6 +175,17 @@ RECORDS = [
         TypeError("s must be a number, got True"),
     ),
     (
+        SimConfig,
+        SimConfig._field_defaults,
+        tuple(SimConfig._field_defaults.values()),
+        "literal_traversal",
+        True,
+        ValueError(
+            "literal_traversal must be false: the literal walk was removed"
+            " (see the README's 'Sensitivity to the walk variant')"
+        ),
+    ),
+    (
         ExperimentSpec,
         {
             "base": SimConfig(t_max=10),
@@ -242,15 +253,24 @@ def test_every_way_of_building_a_record_checks_it(path, cls, good, built, field,
         build(path, cls, good, {**good, field: bad})
 
 
-@pytest.mark.parametrize(
-    "record", [SimConfig(), ExperimentSpec(), ValueRecord("v1", b"1")], ids=lambda r: type(r).__name__
-)
+SELF_CHECKING = [SimConfig(), ExperimentSpec(), ValueRecord("v1", b"1")]
+
+
+@pytest.mark.parametrize("record", SELF_CHECKING, ids=lambda r: type(r).__name__)
 def test_a_record_cannot_be_changed(record):
     field = record._fields[0]
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
     with pytest.raises(AttributeError):
         record.foo = 1
+
+
+@pytest.mark.parametrize("record", SELF_CHECKING, ids=lambda r: type(r).__name__)
+def test_an_unknown_field_is_a_type_error_naming_the_record(record):
+    cls = type(record)
+    message = f"{cls.__name__}.__new__() got an unexpected keyword argument 'foo'"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        cls(*record, foo=1)
 
 
 def load_check_golden(monkeypatch):
@@ -266,7 +286,7 @@ def load_check_golden(monkeypatch):
 
 def test_the_golden_check_finds_every_pinned_run(tmp_path, monkeypatch):
     # tools/check_golden.py imports the configs and digests of tests/golden.py,
-    # and perfbench's from workloads.py; it must find all eight runs with the
+    # and perfbench's from workloads.py; it must find all seven runs with the
     # pinned configs and digests.  None of them is run here, and nothing is
     # written under perfbench/.
     tool = load_check_golden(monkeypatch)
@@ -280,7 +300,6 @@ def test_the_golden_check_finds_every_pinned_run(tmp_path, monkeypatch):
         "perfbench/dense_observe",
         "tests/churn",
         "tests/control",
-        "tests/literal",
         "tests/n_peers_10",
         "tests/sweep",
     ]

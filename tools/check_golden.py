@@ -2,7 +2,7 @@
 
     python3 tools/check_golden.py [INTERPRETER...]
 
-Runs the four configs and the sweep of tests/golden.py and the three
+Runs the three configs and the sweep of tests/golden.py and the three
 workloads of perfbench/workloads.py at their pinned seeds, in one process
 (jobs=1), and compares the SHA-256 of series.csv, majority.csv and
 histograms.json (for the sweep, of every file it writes) with the digests
